@@ -1,1 +1,1 @@
-"""Benchmark suite regenerating every experiment in DESIGN.md's index."""
+"""Benchmark suite regenerating every paper experiment (E1–E12)."""

@@ -79,9 +79,8 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
                                                 context=context)
             routings = []
             for t_index, tree in enumerate(cover.trees):
-                tree_names = {v: names[v] for v in tree.nodes}
                 routings.append(DictionaryTreeRouting(
-                    tree, tree_names, name_bits=self.name_bits,
+                    tree, names, name_bits=self.name_bits,
                     seed=derive_rng(seed, scale, t_index)))
             return routings, dict(cover.home)
 

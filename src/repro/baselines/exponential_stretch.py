@@ -7,7 +7,7 @@ on pure random sampling and paid an exponential price in stretch: with
 al. [6]).  This module implements a representative member of that family so
 that experiment E4 can contrast its stretch growth with the linear growth of
 the AGM scheme.  It is a stand-in for the family, not a line-by-line
-reimplementation of [7] (DESIGN.md §3 item 7).
+reimplementation of [7] (README, "Deviations from the paper", item 7).
 
 Construction: ``k+1`` landmark levels ``L_0 = V ⊇ L_1 ⊇ ... ⊇ L_k``
 (level ``i`` sampled with probability ``n^{-i/k}``; the top level is forced
@@ -118,9 +118,8 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         else:
             trees = context.spt_trees(jobs)
         for (i, w), tree in zip(job_keys, trees):
-            tree_names = {v: names[v] for v in tree.nodes}
             self._tree_key[(i, w)] = DictionaryTreeRouting(
-                tree, tree_names, name_bits=self.name_bits,
+                tree, names, name_bits=self.name_bits,
                 seed=derive_rng(seed, 11, i, w))
         self.tables.charge_structures(
             "responsibility_tables",

@@ -21,9 +21,10 @@ primitives so all six schemes share them:
   *index* (never from execution order), so parallel builds are bit-identical
   to serial ones.
 
-Trees produced here carry their forwarding slot arrays from construction
-(see :meth:`repro.graphs.trees.Tree._compute_dfs`), so a later
-``TreeBank.freeze`` finds every per-tree cache already populated.
+Trees produced here are built straight from the Dijkstra predecessor arrays
+(:meth:`repro.graphs.trees.Tree.from_arrays`) and carry their forwarding
+slot arrays from construction, so a later ``TreeBank.freeze`` finds every
+per-tree cache already populated.
 
 ``REPRO_BUILD_MODE=scalar`` switches the schemes back to their original
 scalar constructors; the build-parity suite asserts both paths produce
@@ -103,9 +104,9 @@ def tree_from_predecessors(graph: WeightedGraph, root: int,
     """Assemble a (pruned) :class:`Tree` from one Dijkstra row, vectorized.
 
     The scalar path walks each member's parent chain in Python; here the kept
-    set is computed as an ancestor closure with whole-frontier array gathers
-    and the edge weights come from one sorted-key lookup instead of per-edge
-    ``edge_weight`` calls.
+    set is computed as an ancestor closure with whole-frontier array gathers,
+    the edge weights come from one sorted-key lookup instead of per-edge
+    ``edge_weight`` calls, and the tree is built from the edge arrays.
     """
     parent = np.where(pred < 0, -1, pred).astype(np.int64)
     n = graph.n
@@ -127,9 +128,7 @@ def tree_from_predecessors(graph: WeightedGraph, root: int,
     if edge_index is None:
         edge_index = _EdgeIndex(graph)
     weights = edge_index.weights(parents_of, children)
-    return Tree(root=int(root),
-                parent=dict(zip(children.tolist(), parents_of.tolist())),
-                edge_weight=dict(zip(children.tolist(), weights.tolist())))
+    return Tree.from_arrays(int(root), children, parents_of, weights)
 
 
 class _EdgeIndex:

@@ -17,7 +17,7 @@ normalizes ``d_min = 1``.  When no radius achieves the required growth the
 range is capped at a sentinel exponent large enough that the corresponding
 ball covers the whole connected component; this realizes the paper's
 "``a(u,i+1) = log Δ`` if no such integer exists" and guarantees the top level
-always covers the destination (DESIGN.md §3 item 5).
+always covers the destination (README, "Deviations from the paper", item 5).
 """
 
 from __future__ import annotations

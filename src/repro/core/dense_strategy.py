@@ -13,9 +13,10 @@ large the aspect ratio is.
 Each cover tree carries the Lemma 7 name-independent dictionary so that a
 lookup costs ``O(rad(T))`` and reports misses back to the source.
 
-Lazy materialization (DESIGN.md §3): covers are only built for exponents that
-are the range ``a(u,i)`` of some dense level actually present in the graph;
-other exponents of ``R(u)`` can never be the target of a dense-level search.
+Lazy materialization (README, "Deviations from the paper", item 3): covers
+are only built for exponents that are the range ``a(u,i)`` of some dense
+level actually present in the graph; other exponents of ``R(u)`` can never
+be the target of a dense-level search.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from repro.utils.validation import require
 
 def translate_tree(tree: Tree, mapping: List[int]) -> Tree:
     """Map a tree over subgraph-local indices back to global node indices."""
-    parent = {mapping[c]: mapping[p] for c, p in tree.parent.items()}
-    weights = {mapping[c]: w for c, w in tree.edge_weight.items()}
-    return Tree(root=mapping[tree.root], parent=parent, edge_weight=weights)
+    to_global = np.asarray(mapping, dtype=np.int64)
+    children, parents, weights = tree.edge_arrays()
+    return Tree.from_arrays(mapping[tree.root], to_global[children],
+                            to_global[parents], weights)
 
 
 class DenseStrategy:
@@ -99,7 +101,7 @@ class DenseStrategy:
         # G_j.  Exponents are independent build units, so they fan out over
         # the context's workers; seeds derive from the exponent's position in
         # the sorted order, keeping parallel output bit-identical to serial.
-        names = graph.names_view()
+        names, folds = graph.names_view(), graph.name_folds()
 
         def build_exponent(item):
             count, j = item
@@ -126,10 +128,10 @@ class DenseStrategy:
             routings: List[DictionaryTreeRouting] = []
             for t_index, local_tree in enumerate(cover.trees):
                 global_tree = translate_tree(local_tree, mapping)
-                tree_names = {v: names[v] for v in global_tree.nodes}
                 routings.append(DictionaryTreeRouting(
-                    global_tree, tree_names, name_bits=self.params.name_bits,
-                    seed=derive_rng(seed, 202, count, t_index)))
+                    global_tree, names, name_bits=self.params.name_bits,
+                    seed=derive_rng(seed, 202, count, t_index),
+                    folds=folds[global_tree.nodes_array]))
             home = {mapping[local]: idx for local, idx in cover.home.items()}
             return j, routings, home
 

@@ -11,7 +11,8 @@ degenerates to "all nodes" and the measurement says nothing about scaling.
 * :meth:`AGMParams.paper` keeps the published values;
 * :meth:`AGMParams.experiment` scales the *constant factors* down (never the
   exponents) so that the ``n^{1/k}``-type scaling is visible at n of a few
-  hundred nodes.  DESIGN.md §3 item 2 documents this substitution.
+  hundred nodes.  The README section "Deviations from the paper" (item 2)
+  documents this substitution.
 """
 
 from __future__ import annotations

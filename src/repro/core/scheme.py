@@ -16,7 +16,7 @@ rooted at the component's highest-rank landmark, carrying a Lemma 7
 dictionary) guarantees that routing always terminates even when a
 scaled-down experimental constant violates one of the w.h.p. lemmas; the
 number of times the fallback fires is reported and is expected to be zero
-(see DESIGN.md §3 item 5).
+(see the README section "Deviations from the paper", item 5).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
     # construction helpers
     # ------------------------------------------------------------------ #
     def _build_fallback(self, seed, context: BuildContext) -> None:
-        names = self.graph.names_view()
+        names, folds = self.graph.names_view(), self.graph.name_folds()
         self._fallback: Dict[int, DictionaryTreeRouting] = {}
         self._fallback_of_node: Dict[int, int] = {}
         jobs: List[Tuple[int, List[int], int]] = []
@@ -110,10 +110,10 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             trees = context.spt_trees(
                 [SPTJob(root, component) for _, component, root in jobs])
         for (index, component, _), tree in zip(jobs, trees):
-            tree_names = {v: names[v] for v in tree.nodes}
-            routing = DictionaryTreeRouting(tree, tree_names,
+            routing = DictionaryTreeRouting(tree, names,
                                             name_bits=self.params.name_bits,
-                                            seed=derive_rng(seed, 7, index))
+                                            seed=derive_rng(seed, 7, index),
+                                            folds=folds[tree.nodes_array])
             self._fallback[index] = routing
             for v in component:
                 self._fallback_of_node[v] = index
@@ -142,13 +142,15 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             result.strategy = "local"
             return result
 
+        fold = self.graph.name_fold(destination_name)
         for i in range(self.k + 1):
             result.phases_used = i + 1
             if self.decomposition.is_dense(source, i):
                 walk, cost, found, _ = self.dense.route(source, i, destination_name)
                 strategy = "dense"
             else:
-                walk, cost, found, _ = self.sparse.route(source, i, destination_name)
+                walk, cost, found, _ = self.sparse.route(source, i, destination_name,
+                                                         fold)
                 strategy = "sparse"
             result.extend(walk)
             result.cost += cost
@@ -205,6 +207,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             register(routing)
 
         names = self.graph.names_view()
+        folds = self.graph.name_folds().tolist()
         header = self.header_bits()
         k = self.k
 
@@ -219,7 +222,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
                     routing, targets, found = self.dense.plan_route(source, i, target_name)
                     strategy = "dense"
                 else:
-                    routing, targets, found = self.sparse.plan_route(source, i, target_name)
+                    routing, targets, found = self.sparse.plan_route(
+                        source, i, target_name, folds[destination])
                     strategy = "sparse"
                 if routing is not None and targets:
                     tree = tree_id_of[id(routing)]

@@ -9,12 +9,12 @@ search succeeds whenever the destination is inside the guarantee ball; a miss
 walks back to ``u`` (the error report) and the scheme moves on to the next
 level.
 
-Lazy materialization (documented in DESIGN.md §3): the paper charges every
-node for the trees of *all* its nearby landmarks ``S(u)``; the reproduction
-only materializes trees whose root is actually some node's center ``c(u,i)``
-— the only trees routing can ever touch — and charges exactly the
-materialized state.  The measured space is therefore a lower bound on the
-paper's accounting, which is itself an upper bound.
+Lazy materialization (README, "Deviations from the paper", item 3): the
+paper charges every node for the trees of *all* its nearby landmarks
+``S(u)``; the reproduction only materializes trees whose root is actually
+some node's center ``c(u,i)`` — the only trees routing can ever touch — and
+charges exactly the materialized state.  The measured space is therefore a
+lower bound on the paper's accounting, which is itself an upper bound.
 """
 
 from __future__ import annotations
@@ -200,15 +200,9 @@ class SparseStrategy:
         # center trees are local searches (component centers span everything
         # reachable, so they run unlimited)
         jobs = [SPTJob(c, sorted(members_of[c]), limit_of[c]) for c in used_centers]
-        names = graph.names_view()
         for index, (c, tree) in enumerate(zip(used_centers,
                                               context.spt_trees(jobs))):
-            tree_names = {v: names[v] for v in tree.nodes}
-            self.trees[c] = NameIndependentTreeRouting(
-                tree, tree_names, k=k, sigma=self.sigma,
-                name_bits=self.params.name_bits,
-                seed=derive_rng(seed, 101, index),
-            )
+            self._add_tree(c, tree, index, seed)
 
         # 4. search bounds b(u, i): when the E-radius provably reaches past
         # the whole tree (d(u, c) + the tree's max depth, with a generous
@@ -217,30 +211,36 @@ class SparseStrategy:
         # inf beyond — both sides of the <= radius test unchanged) feeds the
         # same masked gather as before
         shrink = self.params.sparse_shrink
-        tree_nodes_of: Dict[int, np.ndarray] = {}
+        keys = sorted(self.center_of)
+        key_u = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
+        key_i = np.fromiter((i for _, i in keys), dtype=np.int64, count=len(keys))
+        key_c = np.fromiter((self.center_of[key] for key in keys),
+                            dtype=np.int64, count=len(keys))
+        key_radius = d_min * np.power(2.0, ranges[key_u, key_i + 1].astype(float)) \
+            / shrink
+        # one whole-tree pass per center: is u in T(c), and how deep
+        fast = np.zeros(len(keys), dtype=bool)
         digits_of: Dict[int, np.ndarray] = {}
-        depth_of: Dict[int, Dict[int, float]] = {}
-        max_depth_of: Dict[int, float] = {}
-        max_digit_of: Dict[int, int] = {}
-        for c, routing in self.trees.items():
-            nodes_arr = np.asarray(routing.tree.nodes, dtype=np.int64)
-            tree_nodes_of[c] = nodes_arr
-            digits_of[c] = np.asarray(
-                [max(routing.digits_of(v), 1) for v in routing.tree.nodes],
-                dtype=np.int64)
-            max_digit_of[c] = int(digits_of[c].max(initial=0))
-            depth_of[c] = routing.tree.depth
-            max_depth_of[c] = max(routing.tree.depth.values(), default=0.0)
+        top_bound: Dict[int, int] = {}
+        for c in np.unique(key_c).tolist():
+            group = np.flatnonzero(key_c == c)
+            tree = self.trees[c].tree
+            digits_of[c] = np.maximum(self.trees[c].digits_array(), 1)
+            top_bound[c] = max(int(digits_of[c].max(initial=0)), 1)
+            nodes_arr = tree.nodes_array
+            loc = np.minimum(np.searchsorted(nodes_arr, key_u[group]),
+                             nodes_arr.size - 1)
+            inside = nodes_arr[loc] == key_u[group]
+            depth = tree.depth_array()
+            reach = depth[loc] + float(depth.max(initial=0.0))
+            fast[group] = inside & (key_radius[group]
+                                    >= reach * (1 + 1e-9) + 1e-9)
         slow_keys: List[Tuple[int, int]] = []
-        for u, i in sorted(self.center_of):
-            c = self.center_of[(u, i)]
-            radius = d_min * (2.0 ** float(ranges[u, i + 1])) / shrink
-            reach = depth_of[c].get(u)
-            if reach is not None and \
-                    radius >= (reach + max_depth_of[c]) * (1 + 1e-9) + 1e-9:
-                self.bound_of[(u, i)] = max(max_digit_of[c], 1)
+        for key, c, is_fast in zip(keys, key_c.tolist(), fast.tolist()):
+            if is_fast:
+                self.bound_of[key] = top_bound[c]
             else:
-                slow_keys.append((u, i))
+                slow_keys.append(key)
         if slow_keys:
             radius_of = {
                 key: d_min * (2.0 ** float(ranges[key[0], key[1] + 1])) / shrink
@@ -261,7 +261,7 @@ class SparseStrategy:
                     row = rows[local]
                     for key in by_u[u]:
                         c = self.center_of[key]
-                        nodes_arr = tree_nodes_of[c]
+                        nodes_arr = self.trees[c].tree.nodes_array
                         within = row[nodes_arr] <= radius_of[key] + 1e-12
                         bound = int(digits_of[c][within].max(initial=0))
                         self.bound_of[key] = max(bound, 1)
@@ -292,16 +292,10 @@ class SparseStrategy:
                         served_by[c].add(v)
 
         # 3. build T(c) and its Lemma 4 routing structure for every used center
-        names = graph.names_view()
         for index, c in enumerate(sorted(used_centers)):
             members = served_by[c] | {c}
             tree = shortest_path_tree(graph, c, members=sorted(members))
-            tree_names = {v: names[v] for v in tree.nodes}
-            self.trees[c] = NameIndependentTreeRouting(
-                tree, tree_names, k=k, sigma=self.sigma,
-                name_bits=self.params.name_bits,
-                seed=derive_rng(seed, 101, index),
-            )
+            self._add_tree(c, tree, index, seed)
 
         # 4. search bounds b(u, i): the minimal j-bounded search that covers
         # E(u, i).  Grouped per center: one transient digit vector (0 outside
@@ -314,8 +308,7 @@ class SparseStrategy:
         for c, keys in by_center.items():
             routing = self.trees[c]
             vector[:] = 0
-            for v in routing.tree.nodes:
-                vector[v] = max(routing.digits_of(v), 1)
+            vector[routing.tree.nodes_array] = np.maximum(routing.digits_array(), 1)
             for chunk in self.oracle.iter_prefetched_chunks(keys, source=lambda key: key[0]):
                 for u, i in chunk:
                     ball = self.decomposition.e_ball_indices(u, i)
@@ -324,12 +317,22 @@ class SparseStrategy:
 
         self._charge_tables()
 
+    def _add_tree(self, c: int, tree, index: int, seed) -> None:
+        """The Lemma 4 structure on ``T(c)``, hashing from the graph's name folds."""
+        self.trees[c] = NameIndependentTreeRouting(
+            tree, self.graph.names_view(), k=self.k, sigma=self.sigma,
+            name_bits=self.params.name_bits,
+            seed=derive_rng(seed, 101, index),
+            folds=self.graph.name_folds()[tree.nodes_array],
+        )
+
     def _charge_tables(self) -> None:
         # 5. storage accounting
         idbits = bits_for_id(max(self.graph.n, 2))
         self.tables.charge_structures(
             "sparse_tree_tables",
-            ((r.tree.nodes, r.table_bits_list()) for r in self.trees.values()))
+            ((r.tree.nodes_array, r.table_bits_array())
+             for r in self.trees.values()))
         for (u, i), c in self.center_of.items():
             level_bits = idbits + bits_for_count(max(routing_max_digits(self.trees[c]), 1))
             self.tables[u].charge("sparse_level_pointers", level_bits)
@@ -360,12 +363,14 @@ class SparseStrategy:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def route(self, u: int, i: int, target_name: Hashable
+    def route(self, u: int, i: int, target_name: Hashable,
+              fold: Optional[int] = None
               ) -> Tuple[List[int], float, bool, Optional[int]]:
         """Execute the sparse strategy for level ``i`` from node ``u``.
 
         Returns ``(walk, cost, found, destination)``; the walk starts at ``u``
-        and, when the destination is not found, ends back at ``u``.
+        and, when the destination is not found, ends back at ``u``.  ``fold``
+        is ``fold_name(target_name)`` when the caller has it already.
         """
         require((u, i) in self.center_of, f"level {i} is not sparse for node {u}")
         c = self.center_of[(u, i)]
@@ -384,7 +389,8 @@ class SparseStrategy:
         walk, cost = _extend_walk(walk, cost, up, tree)
 
         # leg 2: b(u,i)-bounded search from the root
-        search = routing.search_from_root(target_name, j_bound=self.bound_of[(u, i)])
+        search = routing.search_from_root(target_name, j_bound=self.bound_of[(u, i)],
+                                          fold=fold)
         walk, cost = _extend_walk(walk, cost, search.path, tree)
         if search.found:
             return walk, cost, True, search.destination
@@ -394,7 +400,8 @@ class SparseStrategy:
         walk, cost = _extend_walk(walk, cost, down, tree)
         return walk, cost, False, None
 
-    def plan_route(self, u: int, i: int, target_name: Hashable
+    def plan_route(self, u: int, i: int, target_name: Hashable,
+                   fold: Optional[int] = None
                    ) -> Tuple[Optional[NameIndependentTreeRouting], List[int], bool]:
         """The waypoints of :meth:`route` without performing the walk.
 
@@ -411,7 +418,7 @@ class SparseStrategy:
             return None, [], False
         targets = [c]
         search_targets, found, _ = routing.plan_search_from_root(
-            target_name, j_bound=self.bound_of[(u, i)])
+            target_name, j_bound=self.bound_of[(u, i)], fold=fold)
         targets.extend(search_targets)
         if not found:
             targets.append(u)

@@ -157,9 +157,7 @@ def _tree_from_local(members: np.ndarray, local_root: int,
     children = members[local_children]
     parents = members[local_parents]
     weights = edge_index.weights(parents, children)
-    return Tree(root=int(members[local_root]),
-                parent=dict(zip(children.tolist(), parents.tolist())),
-                edge_weight=dict(zip(children.tolist(), weights.tolist())))
+    return Tree.from_arrays(int(members[local_root]), children, parents, weights)
 
 
 def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,

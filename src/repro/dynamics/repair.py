@@ -109,12 +109,12 @@ def tree_is_intact(graph: WeightedGraph, tree: Tree, root_row: np.ndarray,
     the rebuild.  The tolerance absorbs float summation-order differences
     between tree depths and the Dijkstra kernel.
     """
-    for child, parent in tree.parent.items():
+    children, parents, weights = tree.edge_arrays()
+    for child, parent, weight in zip(children.tolist(), parents.tolist(),
+                                     weights.tolist()):
         if not graph.has_edge(parent, child):
             return False
-        if graph.edge_weight(parent, child) != tree.edge_weight[child]:
+        if graph.edge_weight(parent, child) != weight:
             return False
-    for v in tree.nodes:
-        if abs(tree.depth[v] - root_row[v]) > atol:
-            return False
-    return True
+    gap = np.abs(tree.depth_array() - root_row[tree.nodes_array])
+    return not bool((gap > atol).any())

@@ -1,7 +1,8 @@
 """Workload definitions shared by experiments, benches and examples.
 
-A workload is a named, seeded graph instance.  The standard suite mirrors the
-graph families listed in DESIGN.md's experiment index; every entry has a
+A workload is a named, seeded graph instance.  The standard suite covers the
+graph families the experiments use (README, "Graph sources" under
+"Experiment matrix"); every entry has a
 ``quick`` size (used in CI / default bench runs) and a ``full`` size (used
 when the environment variable ``REPRO_BENCH_FULL`` is set).
 """

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.hashing.universal import fold_name, fold_names
 from repro.utils.rng import make_rng
 from repro.utils.validation import ValidationError, check_index, require
 
@@ -50,6 +51,7 @@ class WeightedGraph:
         "_names",
         "_names_view",
         "_name_to_index",
+        "_name_folds",
         "_csr",
         "_component_ids",
         "_num_edges",
@@ -90,6 +92,7 @@ class WeightedGraph:
                     break
         self._names_view = tuple(self._names)
         self._name_to_index = {name: i for i, name in enumerate(self._names)}
+        self._name_folds: Optional[np.ndarray] = None
         self._component_ids: Optional[np.ndarray] = None
         self._version = 0
 
@@ -265,6 +268,32 @@ class WeightedGraph:
     def index_of(self, name: object) -> int:
         """Node index of ``name`` (raises ``KeyError`` for unknown names)."""
         return self._name_to_index[name]
+
+    def name_folds(self) -> np.ndarray:
+        """``fold_name`` of every node name as a ``uint64`` array (cached).
+
+        Names never change after construction, so each name is folded once
+        per graph; Lemma 4 trees hash their members from this array.
+        """
+        if self._name_folds is None:
+            self._name_folds = fold_names(self._names)
+        return self._name_folds
+
+    def name_fold(self, name: object) -> int:
+        """``fold_name(name)``, read from :meth:`name_folds` for a node name.
+
+        The fold hashes ``repr(name)``, so only the node's own name object
+        (or an equal ``int``/``str``) may reuse the stored fold; any other
+        name, including an equal object of another type such as
+        ``np.int64(3)`` for ``3``, is folded on the fly.
+        """
+        index = self._name_to_index.get(name)
+        if index is not None:
+            stored = self._names[index]
+            if stored is name or (type(stored) is type(name)
+                                  and type(name) in (int, str)):
+                return int(self.name_folds()[index])
+        return fold_name(name)
 
     def has_name(self, name: object) -> bool:
         """Whether ``name`` belongs to some node."""

@@ -11,30 +11,31 @@ verify that a routing walk actually followed tree edges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.utils.validation import require
+import numpy as np
+
+from repro.utils.validation import ValidationError, require
 
 
 class TreeSlotArrays:
     """Per-tree compiled slot arrays (``slot = DFS-in number``).
 
-    Assembled during :meth:`Tree._compute_dfs` so that
+    Assembled when the :class:`Tree` is built so that
     :meth:`repro.routing.forwarding.TreeBank.freeze` finds every tree's local
-    compilation already cached — the bank's global assembly is then pure
-    vectorized offset arithmetic with no intermediate dict pass.  Attribute
-    layout matches what ``freeze`` consumes (``_TreeSlots`` duck type).
+    compilation ready — the bank's global assembly is then pure vectorized
+    offset arithmetic with no intermediate dict pass.
     """
 
     __slots__ = ("size", "node_of_slot", "dfs_out", "parent_local")
 
-    def __init__(self, size: int) -> None:
-        import numpy as np
-
-        self.size = size
-        self.node_of_slot = np.empty(size, dtype=np.int64)
-        self.dfs_out = np.empty(size, dtype=np.int64)
-        self.parent_local = np.full(size, -1, dtype=np.int64)
+    def __init__(self, node_of_slot: np.ndarray, dfs_out: np.ndarray,
+                 parent_local: np.ndarray) -> None:
+        self.size = int(node_of_slot.size)
+        self.node_of_slot = node_of_slot
+        self.dfs_out = dfs_out
+        self.parent_local = parent_local
 
 
 class Tree:
@@ -49,6 +50,15 @@ class Tree:
         appear as a key).
     edge_weight:
         Mapping ``child -> weight of (child, parent(child))``.
+
+    The structure is computed on arrays indexed by *local* position (the
+    rank of a node in the sorted :attr:`nodes` list): one top-down pass per
+    hop level gives depths and hop depths, one bottom-up pass per level
+    subtree sizes, and one more top-down pass DFS-in numbers, so no Python
+    code runs per node.  The dict views (``depth``, ``dfs_in``,
+    ``children``, ...) are built from the arrays on first access; only
+    :attr:`index` is built eagerly.
+    :meth:`from_arrays` builds a tree straight from edge arrays.
     """
 
     def __init__(
@@ -58,91 +68,209 @@ class Tree:
         edge_weight: Dict[int, float],
     ) -> None:
         require(root not in parent, "the root cannot have a parent")
-        self.parent: Dict[int, int] = {int(c): int(p) for c, p in parent.items()}
-        self.edge_weight: Dict[int, float] = {int(c): float(w) for c, w in edge_weight.items()}
-        require(self.parent.keys() == self.edge_weight.keys(),
+        require(parent.keys() == edge_weight.keys(),
                 "every child needs exactly one edge weight")
-        require(not self.edge_weight or min(self.edge_weight.values()) > 0,
-                "tree edge weights must be positive")
-        self.root = int(root)
+        count = len(parent)
+        self._build(root,
+                    np.fromiter(parent.keys(), dtype=np.int64, count=count),
+                    np.fromiter(parent.values(), dtype=np.int64, count=count),
+                    np.fromiter(map(edge_weight.__getitem__, parent),
+                                dtype=np.float64, count=count))
 
-        node_set = set(self.parent) | set(self.parent.values()) | {self.root}
-        self.nodes: List[int] = sorted(node_set)
-        self.index: Dict[int, int] = {v: i for i, v in enumerate(self.nodes)}
-        self.size = len(self.nodes)
+    @classmethod
+    def from_arrays(cls, root: int, children: np.ndarray, parents: np.ndarray,
+                    weights: np.ndarray) -> "Tree":
+        """Build from parallel edge arrays ``parents[i] -> children[i]``.
 
-        self.children: Dict[int, List[int]] = {v: [] for v in self.nodes}
-        for child, par in self.parent.items():
-            self.children[par].append(child)
-        for v in self.children:
-            self.children[v].sort()
-
-        self._validate_connected()
-        self._compute_depths()
-        self._compute_dfs()
+        ``weights[i]`` is the weight of that edge.  Children must be
+        distinct and must not include the root.
+        """
+        tree = cls.__new__(cls)
+        tree._build(root, np.asarray(children, dtype=np.int64),
+                    np.asarray(parents, dtype=np.int64),
+                    np.asarray(weights, dtype=np.float64))
+        return tree
 
     # ------------------------------------------------------------------ #
     # construction-time computations
     # ------------------------------------------------------------------ #
-    def _validate_connected(self) -> None:
+    def _build(self, root: int, children: np.ndarray, parents: np.ndarray,
+               weights: np.ndarray) -> None:
+        require(weights.size == 0 or bool(weights.min() > 0),
+                "tree edge weights must be positive")
+        self.root = int(root)
+        #: the edges in the caller's order, for the ``parent`` and
+        #: ``edge_weight`` dict views
+        self._edges = (children, parents, weights)
+        nodes = np.sort(np.concatenate(
+            (np.array([self.root], dtype=np.int64), children)))
+        m = nodes.size
+        require(not bool((nodes[1:] == nodes[:-1]).any()),
+                "every non-root node needs exactly one parent")
+        # a parent outside {root} + children has no parent edge of its own,
+        # so it cannot be connected to the root
+        parent_pos = np.minimum(np.searchsorted(nodes, parents), m - 1)
+        require(bool((nodes[parent_pos] == parents).all()),
+                "tree is not connected to its root")
+        self.nodes_array = nodes
+        self.nodes: List[int] = nodes.tolist()
+        self.size = m
+        #: graph index -> local position; eager because :meth:`contains` is
+        #: a per-packet query of every scheme's planner
+        self.index: Dict[int, int] = dict(zip(self.nodes, range(m)))
+
+        child_local = np.searchsorted(nodes, children)
+        parent_local = np.full(m, -1, dtype=np.int64)
+        parent_local[child_local] = parent_pos
+        weight = np.zeros(m, dtype=np.float64)
+        weight[child_local] = weights
+        root_local = int(np.searchsorted(nodes, self.root))
+
+        # children grouped by parent, ascending node id inside a group
+        nonroot = np.flatnonzero(parent_local >= 0)
+        by_parent = nonroot[np.argsort(parent_local[nonroot], kind="stable")]
+        child_count = np.bincount(parent_local[nonroot], minlength=m)
+        child_start = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(child_count, out=child_start[1:])
+        self._by_parent = by_parent
+        self._child_start = child_start
+
+        # top-down, one hop level at a time: depth[c] = depth[p] + w(c) in
+        # the same float order as a walk down from the root
+        depth = np.zeros(m, dtype=np.float64)
+        hop = np.zeros(m, dtype=np.int64)
+        levels = [np.array([root_local], dtype=np.int64)]
+        reached = 1
+        while True:
+            frontier = levels[-1]
+            counts = child_count[frontier]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            first = child_start[frontier]
+            gather = np.repeat(first - (np.cumsum(counts) - counts), counts) \
+                + np.arange(total)
+            level = by_parent[gather]
+            depth[level] = depth[parent_local[level]] + weight[level]
+            hop[level] = len(levels)
+            levels.append(level)
+            reached += total
         # every non-root node has exactly one parent edge, so reaching all
         # ``size`` nodes from the root rules out both cycles and disconnection
-        reached = 1
-        stack = [self.root]
-        children = self.children
-        while stack:
-            kids = children[stack.pop()]
-            reached += len(kids)
-            stack.extend(kids)
-        require(reached == self.size, "tree is not connected to its root")
+        require(reached == m, "tree is not connected to its root")
+        self._depth = depth
+        self._hop = hop
 
-    def _compute_depths(self) -> None:
-        self.depth: Dict[int, float] = {self.root: 0.0}
-        self.hop_depth: Dict[int, int] = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                self.depth[c] = self.depth[u] + self.edge_weight[c]
-                self.hop_depth[c] = self.hop_depth[u] + 1
-                stack.append(c)
+        # bottom-up subtree sizes, then DFS-in numbers top-down: a child's
+        # preorder slot follows its parent's and every earlier sibling's
+        # subtree (children are visited in ascending node id)
+        size = np.ones(m, dtype=np.int64)
+        for level in reversed(levels[1:]):
+            np.add.at(size, parent_local[level], size[level])
+        sizes = size[by_parent]
+        before = np.cumsum(sizes) - sizes
+        offset = np.zeros(m, dtype=np.int64)
+        offset[by_parent] = before - before[child_start[parent_local[by_parent]]]
+        dfs_in = np.zeros(m, dtype=np.int64)
+        for level in levels[1:]:
+            dfs_in[level] = dfs_in[parent_local[level]] + 1 + offset[level]
+        self._size = size
+        self._dfs_in = dfs_in
 
-    def _compute_dfs(self) -> None:
-        """Iterative DFS assigning pre/post intervals and subtree sizes.
+        node_of_slot = np.empty(m, dtype=np.int64)
+        node_of_slot[dfs_in] = nodes
+        slot_dfs_out = np.empty(m, dtype=np.int64)
+        slot_dfs_out[dfs_in] = dfs_in + size - 1
+        slot_parent = np.full(m, -1, dtype=np.int64)
+        slot_parent[dfs_in[nonroot]] = dfs_in[parent_local[nonroot]]
+        self._forwarding_slots = TreeSlotArrays(node_of_slot, slot_dfs_out,
+                                                slot_parent)
 
-        The same pass fills :class:`TreeSlotArrays` (cached as
-        ``_forwarding_slots``), so compiling this tree into a
-        :class:`~repro.routing.forwarding.TreeBank` later needs no further
-        per-node Python work.
+    # ------------------------------------------------------------------ #
+    # dict views (built on first access)
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def parent(self) -> Dict[int, int]:
+        """``child -> parent`` over graph indices."""
+        children, parents, _ = self._edges
+        return dict(zip(children.tolist(), parents.tolist()))
+
+    @cached_property
+    def edge_weight(self) -> Dict[int, float]:
+        """``child -> weight of (child, parent(child))``."""
+        children, _, weights = self._edges
+        return dict(zip(children.tolist(), weights.tolist()))
+
+    @cached_property
+    def children(self) -> Dict[int, List[int]]:
+        """Node -> its children in ascending id order."""
+        kids = self.nodes_array[self._by_parent].tolist()
+        bounds = self._child_start.tolist()
+        return {v: kids[bounds[i]:bounds[i + 1]] for i, v in enumerate(self.nodes)}
+
+    @cached_property
+    def depth(self) -> Dict[int, float]:
+        """Node -> weighted distance from the root along tree edges."""
+        return dict(zip(self.nodes, self._depth.tolist()))
+
+    @cached_property
+    def hop_depth(self) -> Dict[int, int]:
+        """Node -> number of tree edges to the root."""
+        return dict(zip(self.nodes, self._hop.tolist()))
+
+    @cached_property
+    def dfs_in(self) -> Dict[int, int]:
+        """Node -> DFS preorder number (children in ascending id order)."""
+        return dict(zip(self.nodes, self._dfs_in.tolist()))
+
+    @cached_property
+    def dfs_out(self) -> Dict[int, int]:
+        """Node -> largest DFS-in number inside its subtree."""
+        return dict(zip(self.nodes, (self._dfs_in + self._size - 1).tolist()))
+
+    @cached_property
+    def subtree_size(self) -> Dict[int, int]:
+        """Node -> number of nodes in its subtree."""
+        return dict(zip(self.nodes, self._size.tolist()))
+
+    def member_names(self, names: Mapping[int, Hashable]) -> List[Hashable]:
+        """``names[v]`` of every tree node, in :attr:`nodes` order.
+
+        ``names`` is a dict or any sequence indexed by graph node, such as
+        ``graph.names_view()``.
         """
-        self.dfs_in: Dict[int, int] = {}
-        self.dfs_out: Dict[int, int] = {}
-        self.subtree_size: Dict[int, int] = {}
-        slots = TreeSlotArrays(self.size)
-        counter = 0
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                last = self.dfs_in[node]
-                size = 1
-                for c in self.children[node]:
-                    last = max(last, self.dfs_out[c])
-                    size += self.subtree_size[c]
-                self.dfs_out[node] = last
-                self.subtree_size[node] = size
-                slots.dfs_out[self.dfs_in[node]] = last
-            else:
-                self.dfs_in[node] = counter
-                slots.node_of_slot[counter] = node
-                parent = self.parent.get(node)
-                if parent is not None:
-                    slots.parent_local[counter] = self.dfs_in[parent]
-                counter += 1
-                stack.append((node, True))
-                for c in reversed(self.children[node]):
-                    stack.append((c, False))
-        self._forwarding_slots = slots
+        try:
+            return list(map(names.__getitem__, self.nodes))
+        except KeyError as missing:
+            raise ValidationError(
+                f"missing name for tree node {missing.args[0]}") from None
+
+    # ------------------------------------------------------------------ #
+    # array views (tree-node order)
+    # ------------------------------------------------------------------ #
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(children, parents, weights)`` of every edge, in construction order."""
+        return self._edges
+
+    def depth_array(self) -> np.ndarray:
+        """Depths in :attr:`nodes` order."""
+        return self._depth
+
+    def dfs_in_array(self) -> np.ndarray:
+        """DFS-in numbers in :attr:`nodes` order."""
+        return self._dfs_in
+
+    def nodes_by_dfs_array(self) -> np.ndarray:
+        """Node of every DFS-in number (slot order)."""
+        return self._forwarding_slots.node_of_slot
+
+    def child_count_array(self) -> np.ndarray:
+        """Number of children of every node, in :attr:`nodes` order."""
+        return np.diff(self._child_start)
+
+    def depth_order(self) -> np.ndarray:
+        """Local positions sorted by (depth, node index); see :meth:`nodes_by_depth`."""
+        return np.lexsort((self.nodes_array, self._depth))
 
     # ------------------------------------------------------------------ #
     # structural queries
@@ -153,11 +281,11 @@ class Tree:
 
     def radius(self) -> float:
         """Weighted eccentricity of the root: ``max_v depth(v)``."""
-        return max(self.depth.values()) if self.depth else 0.0
+        return float(self._depth.max())
 
     def max_edge(self) -> float:
         """Heaviest tree edge weight (0 for a single-node tree)."""
-        return max(self.edge_weight.values()) if self.edge_weight else 0.0
+        return float(self._edges[2].max(initial=0.0))
 
     def total_weight(self) -> float:
         """Sum of tree edge weights."""
@@ -168,11 +296,11 @@ class Tree:
 
         This is the ordering Lemma 4 uses to assign primary names.
         """
-        return sorted(self.nodes, key=lambda v: (self.depth[v], v))
+        return self.nodes_array[self.depth_order()].tolist()
 
     def nodes_by_dfs(self) -> List[int]:
         """Nodes sorted by DFS-in number."""
-        return sorted(self.nodes, key=lambda v: self.dfs_in[v])
+        return self.nodes_by_dfs_array().tolist()
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """Whether ``a`` is an ancestor of ``b`` (every node is its own ancestor)."""
@@ -253,14 +381,11 @@ class Tree:
         cls, root: int, parents: Sequence[int], weights: Sequence[float]
     ) -> "Tree":
         """Build from dense arrays ``parents[v]``/``weights[v]`` (-1 for non-members)."""
-        parent: Dict[int, int] = {}
-        edge_weight: Dict[int, float] = {}
-        for v, p in enumerate(parents):
-            if v == root or p < 0:
-                continue
-            parent[v] = int(p)
-            edge_weight[v] = float(weights[v])
-        return cls(root=root, parent=parent, edge_weight=edge_weight)
+        parents = np.asarray(parents, dtype=np.int64)
+        members = np.flatnonzero(parents >= 0)
+        members = members[members != root]
+        return cls.from_arrays(root, members, parents[members],
+                               np.asarray(weights, dtype=np.float64)[members])
 
     def __len__(self) -> int:
         return self.size

@@ -12,31 +12,90 @@ post-processes its output into a fixed-length digit string over an alphabet
 of size ``sigma`` (the "hash name" of Lemma 4); :class:`BucketHash` reduces a
 name to a bucket index (used by the Lemma 7 dictionary distribution).
 Arbitrary hashable Python names are first folded to integers with a stable
-64-bit FNV-1a, so node names can be ints, strings, or tuples.
+64-bit FNV-1a (:func:`fold_name`), so node names can be ints, strings, or
+tuples.
+
+Every family has two evaluations with identical results: a scalar one per
+name (the reference, used for single route-time queries) and a batched one
+over a ``uint64`` array of folded names (:func:`horner_mod_p`), used to hash
+a whole tree's members at once.  A graph folds its names once
+(:meth:`repro.graphs.graph.WeightedGraph.name_folds`); the batched path
+starts from those folds.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bitsize import BitBudget, bits_for_count
+from repro.utils.bitsize import bits_for_count
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
 # A Mersenne prime comfortably above any 61-bit folded name.
 _PRIME = (1 << 61) - 1
 
+_P = np.uint64(_PRIME)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW29 = np.uint64((1 << 29) - 1)
+_U3, _U29, _U32, _U61 = (np.uint64(s) for s in (3, 29, 32, 61))
 
-def _fold_name(name: Hashable) -> int:
-    """Stable 64-bit FNV-1a fold of an arbitrary hashable name."""
+
+def fold_name(name: Hashable) -> int:
+    """Stable 64-bit FNV-1a fold of ``repr(name)``, reduced into ``[0, p)``.
+
+    The fold depends on the exact object: ``repr(np.int64(3))`` is
+    ``'np.int64(3)'``, so a numpy scalar folds differently from the equal
+    Python ``int``.
+    """
     data = repr(name).encode("utf-8")
     h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h % _PRIME
+
+
+def fold_names(names: Iterable[Hashable]) -> np.ndarray:
+    """:func:`fold_name` of every name, as a ``uint64`` array."""
+    return np.fromiter((fold_name(name) for name in names), dtype=np.uint64)
+
+
+def horner_mod_p(coefficients: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Evaluate polynomials over ``GF(2^61 - 1)`` at many points at once.
+
+    ``coefficients`` is an ``(F, t)`` array (row ``f`` holds polynomial
+    ``f``'s coefficients ``a_0 .. a_{t-1}``, all in ``[0, p)``) and
+    ``folds`` a ``uint64`` array of points in ``[0, p)``.  Returns the
+    ``(F, len(folds))`` array of values, equal to the scalar Horner loop
+    ``acc = (acc * x + a) % p`` of :meth:`KWiseHash.value_of_fold`.
+
+    Products stay inside ``uint64`` by 32-bit limbs: with
+    ``a = a1 2^32 + a0`` and ``x = x1 2^32 + x0``,
+    ``a x = a1 x1 2^64 + (a1 x0 + a0 x1) 2^32 + a0 x0``.  Modulo
+    ``p = 2^61 - 1`` we have ``2^61 = 1`` and ``2^64 = 8``, so the high term
+    is ``8 a1 x1``, the middle term ``m 2^32`` splits at bit 29 into
+    ``(m >> 29) + (m mod 2^29) 2^32``, and the low term folds at bit 61.
+    The accumulator is only folded to ``[0, p + 7)`` between steps (so
+    ``a < 2^62``, ``a1 < 2^30``): every partial sum stays below
+    ``2^63.5``, and one conditional subtraction at the end lands in
+    ``[0, p)``.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    x = np.asarray(folds, dtype=np.uint64)[np.newaxis, :]
+    x_hi, x_lo = x >> _U32, x & _LOW32
+    acc = np.repeat(coefficients[:, -1:], x.shape[1], axis=1)
+    for a in coefficients[:, -2::-1].T:
+        a_hi, a_lo = acc >> _U32, acc & _LOW32
+        mid = a_hi * x_lo + a_lo * x_hi          # < 2^63
+        low = a_lo * x_lo                        # < 2^64
+        acc = ((a_hi * x_hi) << _U3) + (mid >> _U29) \
+            + ((mid & _LOW29) << _U32) + (low & _P) + (low >> _U61) \
+            + a[:, np.newaxis]                   # < 2^62 + 3 * 2^61 + 2^35
+        acc = (acc & _P) + (acc >> _U61)          # < p + 7
+    acc[acc >= _P] -= _P
+    return acc
 
 
 class KWiseHash:
@@ -56,17 +115,24 @@ class KWiseHash:
         rng = make_rng(seed)
         self.independence = int(independence)
         # The leading coefficient may be zero; independence is unaffected.
-        self.coefficients: List[int] = [
-            int(rng.integers(0, _PRIME)) for _ in range(self.independence)
-        ]
+        self.coefficients: List[int] = rng.integers(
+            0, _PRIME, size=self.independence).tolist()
 
     def value(self, name: Hashable) -> int:
         """Hash ``name`` to an integer in ``[0, p)`` via Horner evaluation."""
-        x = _fold_name(name)
+        return self.value_of_fold(fold_name(name))
+
+    def value_of_fold(self, x: int) -> int:
+        """The hash of a name whose :func:`fold_name` is ``x``."""
         acc = 0
         for c in reversed(self.coefficients):
             acc = (acc * x + c) % _PRIME
         return acc
+
+    def values(self, folds: np.ndarray) -> np.ndarray:
+        """Batched :meth:`value_of_fold` over a ``uint64`` fold array."""
+        return horner_mod_p(np.asarray([self.coefficients], dtype=np.uint64),
+                            folds)[0]
 
     def storage_bits(self) -> int:
         """Bits needed to store this function (t field elements)."""
@@ -94,14 +160,33 @@ class DigitHash:
         seeds = rng.integers(0, 2**31 - 1, size=self.length)
         self._functions = [KWiseHash(independence, seed=int(s)) for s in seeds]
 
-    def digits(self, name: Hashable) -> Tuple[int, ...]:
-        """The full digit string ``h(name)`` of length ``length``."""
-        return tuple(f.value(name) % self.sigma for f in self._functions)
+    def digits(self, name: Hashable, fold: Optional[int] = None,
+               length: Optional[int] = None) -> Tuple[int, ...]:
+        """The digit string ``h(name)``, or its first ``length`` digits when given.
+
+        ``fold`` is ``fold_name(name)`` when the caller already has it (a
+        graph name's entry of ``WeightedGraph.name_folds``); the name is
+        folded here otherwise.
+        """
+        x = fold_name(name) if fold is None else int(fold)
+        sigma = self.sigma
+        functions = self._functions if length is None else self._functions[:length]
+        return tuple(f.value_of_fold(x) % sigma for f in functions)
+
+    def digit_array(self, folds: np.ndarray) -> np.ndarray:
+        """Batched :meth:`digits`: row ``r`` is the digit string of ``folds[r]``.
+
+        Returns an ``(len(folds), length)`` ``int64`` array.
+        """
+        coefficients = np.asarray([f.coefficients for f in self._functions],
+                                  dtype=np.uint64)
+        values = horner_mod_p(coefficients, folds) % np.uint64(self.sigma)
+        return values.T.astype(np.int64)
 
     def prefix(self, name: Hashable, j: int) -> Tuple[int, ...]:
         """The first ``j`` digits of ``h(name)``."""
         require(0 <= j <= self.length, f"prefix length {j} out of range")
-        return self.digits(name)[:j]
+        return self.digits(name, length=j)
 
     def storage_bits(self) -> int:
         """Bits to store the function family."""
@@ -130,6 +215,11 @@ class BucketHash:
     def bucket(self, name: Hashable) -> int:
         """Bucket index of ``name`` in ``[0, num_buckets)``."""
         return self._f.value(name) % self.num_buckets
+
+    def buckets(self, folds: np.ndarray) -> np.ndarray:
+        """Batched :meth:`bucket` over a ``uint64`` fold array (``int64`` out)."""
+        return (self._f.values(folds)
+                % np.uint64(self.num_buckets)).astype(np.int64)
 
     def storage_bits(self) -> int:
         """Bits to store the function."""

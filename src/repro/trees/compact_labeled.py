@@ -36,8 +36,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.graphs.trees import Tree
-from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id
+from repro.utils.bitsize import (BitBudget, bits_for_count, bits_for_id,
+                                 bits_for_id_array)
 from repro.utils.validation import require
 
 
@@ -94,10 +97,8 @@ class CompactTreeRouting:
         # slot = DFS-in number, so subtree_size(slot) = dfs_out - slot + 1 and
         # the heavy test is one vectorized comparison over all child slots.
         # Full labels and port lists are materialized lazily per node — a
-        # construction only pays O(m) array work plus one light-edge counting
-        # scan, not a Python tuple/list build per node.
-        import numpy as np
-
+        # construction only pays O(m) array work, not a Python tuple/list
+        # build per node.
         slots = tree._forwarding_slots
         size = self.m
         subtree = slots.dfs_out - np.arange(size, dtype=np.int64) + 1
@@ -109,16 +110,15 @@ class CompactTreeRouting:
         self._node_of_slot = slots.node_of_slot
         self._heavy_of_slot = heavy_of_slot
 
-        # light-edge count per slot: one preorder scan (parents precede
-        # children in slot order)
-        counts = [0] * size
-        parents_list = parent_local.tolist()
-        heavy_list = heavy_of_slot.tolist()
-        for s in range(size):
-            p = parents_list[s]
-            if p >= 0:
-                counts[s] = counts[p] + (0 if heavy_list[s] else 1)
-        self._light_count_of_slot = counts
+        # light-edge count per slot: the light edges on a root path are the
+        # light slots whose DFS interval contains the node, so one +1/-1
+        # difference array over the intervals and a prefix sum count them (a
+        # tuple of ints, which the cyclic GC stops tracking after one pass)
+        light = child_slots[~heavy_of_slot[child_slots]]
+        diff = np.zeros(size + 1, dtype=np.int64)
+        np.add.at(diff, light, 1)
+        np.add.at(diff, slots.dfs_out[light] + 1, -1)
+        self._light_count_of_slot = tuple(np.cumsum(diff[:size]).tolist())
 
         self.heavy_children = _HeavyChildren(self)
         self._ports: Dict[int, List[int]] = {}
@@ -215,31 +215,27 @@ class CompactTreeRouting:
         return self.table_budget(v).total()
 
     def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) in one lean pass.
+        """``table_bits`` of every node (tree-node order) in one lean pass."""
+        return self.table_bits_array().tolist()
+
+    def table_bits_array(self) -> np.ndarray:
+        """:meth:`table_bits` of every node in tree-node order, as arrays.
 
         Same integers as :meth:`table_bits` without a per-node
         :class:`BitBudget`; used by construction-time accounting to charge a
         whole tree at once.
         """
-        import numpy as np
-
+        tree = self.tree
         idbits = bits_for_count(max(self.m - 1, 1))
-        root = self.tree.root
-        dfs_in = self.tree.dfs_in
+        slot = tree.dfs_in_array()
         heavy_counts = np.bincount(
-            self.tree._forwarding_slots.parent_local[
-                np.flatnonzero(self._heavy_of_slot)],
-            minlength=self.m) if self.m else np.zeros(0, dtype=np.int64)
-        out: List[int] = []
-        children = self.tree.children
-        for v in self.tree.nodes:
-            degree = len(children[v]) + (0 if v == root else 1)
-            portbits = bits_for_id(max(degree, 1))
-            bits = 2 * idbits + int(heavy_counts[dfs_in[v]]) * (2 * idbits + portbits)
-            if v != root:
-                bits += portbits
-            out.append(bits)
-        return out
+            tree._forwarding_slots.parent_local[
+                np.flatnonzero(self._heavy_of_slot)], minlength=self.m)[slot]
+        not_root = (tree.nodes_array != tree.root).astype(np.int64)
+        portbits = bits_for_id_array(
+            np.maximum(tree.child_count_array() + not_root, 1))
+        return 2 * idbits + heavy_counts * (2 * idbits + portbits) \
+            + not_root * portbits
 
     def max_table_bits(self) -> int:
         """Largest table in the tree (cached)."""

@@ -10,7 +10,7 @@ source.
 
 The cited construction is not spelled out in this paper, so the reproduction
 implements a hash-distributed dictionary with the same interface and the same
-cost shape (see DESIGN.md §3, item 4):
+cost shape (README, "Deviations from the paper", item 4):
 
 * every global name hashes to a *responsible* tree node — the node whose DFS
   index equals ``hash(name) mod m``;
@@ -32,10 +32,12 @@ the bit budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import BucketHash
+from repro.hashing.universal import BucketHash, fold_names
 from repro.trees.interval_routing import IntervalTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import require
@@ -57,16 +59,16 @@ class DictionaryTreeRouting:
     def __init__(
         self,
         tree: Tree,
-        names: Dict[int, Hashable],
+        names: Mapping[int, Hashable],
         name_bits: int = 64,
         seed=None,
+        folds: Optional[np.ndarray] = None,
     ) -> None:
-        for v in tree.nodes:
-            require(v in names, f"missing name for tree node {v}")
+        member_names = tree.member_names(names)
         self.tree = tree
         self.m = tree.size
-        self.names = {v: names[v] for v in tree.nodes}
-        self.name_to_node = {name: v for v, name in self.names.items()}
+        self.names = dict(zip(tree.nodes, member_names))
+        self.name_to_node = dict(zip(member_names, tree.nodes))
         require(len(self.name_to_node) == self.m, "tree node names must be unique")
         self.name_bits = int(name_bits)
 
@@ -75,10 +77,13 @@ class DictionaryTreeRouting:
         self._dfs_order = tree.nodes_by_dfs()
 
         # responsible node (by DFS index) -> {name: dfs label of the named node}
+        if folds is None:
+            folds = fold_names(member_names)
+        responsible = tree.nodes_by_dfs_array()[self.bucket_hash.buckets(folds)]
         self.buckets: Dict[int, Dict[Hashable, int]] = {v: {} for v in tree.nodes}
-        for v in tree.nodes:
-            responsible = self.responsible_node(self.names[v])
-            self.buckets[responsible][self.names[v]] = self.interval.label_of(v)
+        for holder, name, label in zip(responsible.tolist(), member_names,
+                                       tree.dfs_in_array().tolist()):
+            self.buckets[holder][name] = label
 
     # ------------------------------------------------------------------ #
     # structure queries

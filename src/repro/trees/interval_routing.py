@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.graphs.trees import Tree
-from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id
+from repro.utils.bitsize import (BitBudget, bits_for_count, bits_for_id,
+                                 bits_for_id_array)
 from repro.utils.validation import require
 
 
@@ -32,7 +35,7 @@ class IntervalTreeRouting:
         self.tree = tree
         self.m = tree.size
         # dfs_index -> graph node (the inverse of the label map)
-        self._by_dfs: Dict[int, int] = {tree.dfs_in[v]: v for v in tree.nodes}
+        self._by_dfs: Dict[int, int] = dict(enumerate(tree.nodes_by_dfs()))
 
     # -- labels ---------------------------------------------------------- #
     def label_of(self, v: int) -> int:
@@ -76,18 +79,12 @@ class IntervalTreeRouting:
         charges whole trees at once.
         """
         idbits = bits_for_count(max(self.m - 1, 1))
-        root = self.tree.root
-        children = self.tree.children
-        out: List[int] = []
-        for v in self.tree.nodes:
-            num_children = len(children[v])
-            degree = num_children + (0 if v == root else 1)
-            portbits = bits_for_id(max(degree, 1))
-            bits = 2 * idbits + num_children * (2 * idbits + portbits)
-            if v != root:
-                bits += portbits
-            out.append(bits)
-        return out
+        tree = self.tree
+        num_children = tree.child_count_array()
+        not_root = (tree.nodes_array != tree.root).astype(np.int64)
+        portbits = bits_for_id_array(np.maximum(num_children + not_root, 1))
+        return (2 * idbits + num_children * (2 * idbits + portbits)
+                + not_root * portbits).tolist()
 
     # -- routing ----------------------------------------------------------- #
     def next_hop(self, current: int, target_label: int) -> Optional[int]:

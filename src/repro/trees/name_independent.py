@@ -30,23 +30,41 @@ Construction (following §3.1 of the paper):
   the destination's label the search routes to it, and if the budget ``j`` is
   exhausted the search walks back to the root and reports failure.
 
-Deviation from the paper (documented in DESIGN.md §3): the dictionary is not
-truncated to the ``n^{1/k} log n`` closest matching nodes — all matching
-nodes of ``V_{j+1}`` are stored, which guarantees searches never miss; the
-w.h.p. load bound of the paper makes the two choices coincide on all but
-pathological hash draws, and the measured dictionary sizes are reported so
-the bound can be audited.
+Deviation from the paper (README, "Deviations from the paper", item 1): the
+dictionary is not truncated to the ``n^{1/k} log n`` closest matching nodes —
+all matching nodes of ``V_{j+1}`` are stored, which guarantees searches never
+miss; the w.h.p. load bound of the paper makes the two choices coincide on
+all but pathological hash draws, and the measured dictionary sizes are
+reported so the bound can be audited.
+
+The build is array-native, one pass of whole-tree array operations per tree.
+Primary names follow arithmetically from the depth rank: level ``l`` starts
+at rank ``start[l] = sum_{i<l} sigma^i``, the trie parent of rank ``r`` on
+level ``l`` is ``start[l-1] + (r - start[l]) // sigma``, and the dictionary
+holder of target ``t`` at prefix length ``j`` is rank
+``start[j] + base_sigma(h(t)[:j])`` when that rank exists.  Hash digits of
+all members come from one batched polynomial evaluation over their folded
+names.  The per-packet tables are an int-keyed trie dict
+(``parent * sigma + digit``) and an int-keyed dict of dictionary entries
+(``holder * stride + target``; ``name_to_node`` turns a name into its
+target); the per-node views (:attr:`primary_name`,
+:attr:`hash_digits`, :attr:`trie_children`, :attr:`dictionary`) are built
+from the arrays on first access, with the same contents and insertion order
+as a node-by-node construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import DigitHash
-from repro.trees.compact_labeled import CompactTreeRouting, TreeLabel
+from repro.hashing.universal import DigitHash, fold_names
+from repro.trees.compact_labeled import CompactTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import require
 
@@ -70,7 +88,8 @@ class NameIndependentTreeRouting:
     tree:
         The rooted weighted tree.
     names:
-        Mapping from tree node (graph index) to its arbitrary global name.
+        Tree node (graph index) -> its arbitrary global name: a dict, or any
+        sequence indexed by graph node such as ``graph.names_view()``.
     k:
         Trade-off parameter used for the underlying Lemma 5 tables.
     sigma:
@@ -80,25 +99,29 @@ class NameIndependentTreeRouting:
         Bits charged for storing one global name in a dictionary entry.
     seed:
         Randomness for the hash family.
+    folds:
+        ``fold_name`` of every member's name in ``tree.nodes`` order (for
+        graph names, ``graph.name_folds()[tree.nodes_array]``); folded here
+        when omitted.
     """
 
     def __init__(
         self,
         tree: Tree,
-        names: Dict[int, Hashable],
+        names: Mapping[int, Hashable],
         k: int = 2,
         sigma: Optional[int] = None,
         name_bits: int = 64,
         seed=None,
+        folds: Optional[np.ndarray] = None,
     ) -> None:
         require(k >= 1, f"k must be >= 1, got {k}")
-        for v in tree.nodes:
-            require(v in names, f"missing name for tree node {v}")
+        member_names = tree.member_names(names)
         self.tree = tree
         self.k = int(k)
         self.m = tree.size
-        self.names = {v: names[v] for v in tree.nodes}
-        self.name_to_node = {name: v for v, name in self.names.items()}
+        self.names = dict(zip(tree.nodes, member_names))
+        self.name_to_node = dict(zip(member_names, tree.nodes))
         require(len(self.name_to_node) == self.m, "tree node names must be unique")
         self.name_bits = int(name_bits)
 
@@ -109,37 +132,39 @@ class NameIndependentTreeRouting:
         self.compact = CompactTreeRouting(tree, k=self.k)
 
         self._assign_primary_names()
-        self.max_digits = max((len(p) for p in self.primary_name.values()), default=0)
         hash_length = max(self.max_digits, 1)
         independence = max(8, int(math.ceil(math.log2(max(self.m, 2)))) + 1)
         self.digit_hash = DigitHash(self.sigma, hash_length, independence=independence, seed=seed)
 
-        self._build_tables()
+        if folds is None:
+            folds = fold_names(member_names)
+        self._build_tables(folds)
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def _assign_primary_names(self) -> None:
-        """Assign digit-string names by increasing distance from the root."""
-        ordered = self.tree.nodes_by_depth()
-        self.primary_name: Dict[int, Tuple[int, ...]] = {}
-        self.node_of_primary: Dict[Tuple[int, ...], int] = {}
-        idx = 0
-        level = 0
-        level_capacity = 1  # sigma^0 names of length 0 (just the root)
-        current_name: List[int] = []
-        for node in ordered:
-            if idx >= level_capacity:
-                # move to the next digit length
-                level += 1
-                level_capacity = self.sigma ** level if self.sigma > 1 else 1
-                if self.sigma == 1 and level > 0:
-                    level_capacity = 1
-                idx = 0
-            name = self._int_to_digits(idx, level)
-            self.primary_name[node] = name
-            self.node_of_primary[name] = node
-            idx += 1
+        """Digit-string names by increasing distance from the root, as ranks.
+
+        Rank ``r`` (position in :meth:`Tree.nodes_by_depth`) lands on level
+        ``l`` with ``start[l] <= r < start[l+1]``; its primary name is the
+        ``l``-digit base-``sigma`` numeral of ``r - start[l]``.
+        """
+        m, sigma = self.m, self.sigma
+        starts = [0]
+        while starts[-1] < m:
+            level = len(starts) - 1
+            starts.append(starts[-1] + (sigma ** level if sigma > 1 else 1))
+        self._start = np.asarray(starts, dtype=np.int64)
+        ranks = np.arange(m, dtype=np.int64)
+        self._rank_level = np.searchsorted(self._start, ranks, side="right") - 1
+        self._rank_index = ranks - self._start[self._rank_level]
+        #: rank -> local position in ``tree.nodes``
+        self._local_of_rank = self.tree.depth_order()
+        #: primary-name length (trie depth) in ``tree.nodes`` order
+        self._level = np.empty(m, dtype=np.int64)
+        self._level[self._local_of_rank] = self._rank_level
+        self.max_digits = int(self._rank_level[-1])
 
     def _int_to_digits(self, value: int, length: int) -> Tuple[int, ...]:
         digits = [0] * length
@@ -148,35 +173,82 @@ class NameIndependentTreeRouting:
             value //= max(self.sigma, 1)
         return tuple(digits)
 
-    def _build_tables(self) -> None:
-        # trie children: primary name (x1..xj) -> for each digit y, the node named (x1..xj,y)
-        self.trie_children: Dict[int, Dict[int, int]] = {v: {} for v in self.tree.nodes}
-        for node, name in self.primary_name.items():
-            if len(name) == 0:
-                continue
-            parent_name = name[:-1]
-            parent = self.node_of_primary.get(parent_name)
-            if parent is not None:
-                self.trie_children[parent][name[-1]] = node
+    def _build_tables(self, folds: np.ndarray) -> None:
+        m, sigma, depth = self.m, self.sigma, self.max_digits
+        nodes = self.tree.nodes_array
+        local_of_rank = self._local_of_rank
+        node_of_rank = nodes[local_of_rank]
 
-        # hash digits of every tree node's global name
-        self.hash_digits: Dict[int, Tuple[int, ...]] = {
-            v: self.digit_hash.digits(self.names[v]) for v in self.tree.nodes
-        }
+        # trie: rank r >= 1 hangs below start[l-1] + index // sigma under
+        # its last digit index % sigma; the table is keyed by
+        # parent * sigma + digit
+        index = self._rank_index[1:]
+        parent_rank = self._start[self._rank_level[1:] - 1] + index // sigma
+        self._trie_child: Dict[int, int] = dict(zip(
+            (node_of_rank[parent_rank] * sigma + index % sigma).tolist(),
+            node_of_rank[1:].tolist()))
+        self._trie_count = np.bincount(local_of_rank[parent_rank], minlength=m)
 
-        # dictionary: a node with a j-digit primary name stores label entries for
-        # every node with at most j+1 digits whose hash prefix matches its name.
-        # For a fixed target t only one holder exists per prefix length j (the
-        # node whose primary name equals h(t)[:j]), so the construction is
-        # O(m * max_digits) rather than O(m^2).
-        self.dictionary: Dict[int, Dict[Hashable, int]] = {v: {} for v in self.tree.nodes}
-        for target in self.tree.nodes:
-            t_digits = len(self.primary_name[target])
-            t_hash = self.hash_digits[target]
-            for j in range(max(t_digits - 1, 0), self.max_digits + 1):
-                holder = self.node_of_primary.get(t_hash[:j])
-                if holder is not None:
-                    self.dictionary[holder][self.names[target]] = target
+        # hash digits of every member's global name, one row per tree node
+        self._hash_digits = self.digit_hash.digit_array(folds)
+
+        # dictionary: target t (with d_t primary digits) is stored at the
+        # holder of every prefix length j in [max(d_t - 1, 0), max_digits] —
+        # the node whose primary name is h(t)[:j], i.e. rank
+        # start[j] + base_sigma(h(t)[:j]) when that rank exists.  Row-major
+        # nonzero order (targets in node order, j ascending) is the insertion
+        # order of a node-by-node construction.  An entry is keyed by
+        # holder * stride + target (both tree nodes): the holder stores the
+        # target's name, and ``name_to_node`` turns a name into the target.
+        prefix = np.zeros((m, depth + 1), dtype=np.int64)
+        for j in range(1, depth + 1):
+            prefix[:, j] = prefix[:, j - 1] * sigma + self._hash_digits[:, j - 1]
+        holder_rank = self._start[:depth + 1][np.newaxis, :] + prefix
+        first_j = np.maximum(self._level - 1, 0)
+        valid = (np.arange(depth + 1)[np.newaxis, :] >= first_j[:, np.newaxis]) \
+            & (holder_rank < m)
+        target, j_of = np.nonzero(valid)
+        holder = local_of_rank[holder_rank[target, j_of]]
+        self._stride = int(nodes[-1]) + 1
+        self._dict_keys = nodes[holder] * self._stride + nodes[target]
+        # a dict of ints rather than a set: the cyclic GC never tracks it,
+        # so full collections while traffic runs do not scan its entries
+        self._dict_entry = dict.fromkeys(self._dict_keys.tolist())
+        self._dict_count = np.bincount(holder, minlength=m)
+
+    # ------------------------------------------------------------------ #
+    # per-node views (built on first access)
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def primary_name(self) -> Dict[int, Tuple[int, ...]]:
+        """Tree node -> its primary name, in depth-rank order."""
+        return {node: self._int_to_digits(index, level)
+                for node, index, level in zip(
+                    self.tree.nodes_array[self._local_of_rank].tolist(),
+                    self._rank_index.tolist(), self._rank_level.tolist())}
+
+    @cached_property
+    def hash_digits(self) -> Dict[int, Tuple[int, ...]]:
+        """Tree node -> the hash digits ``h(name)`` of its global name."""
+        return dict(zip(self.tree.nodes,
+                        map(tuple, self._hash_digits.tolist())))
+
+    @cached_property
+    def trie_children(self) -> Dict[int, Dict[int, int]]:
+        """Tree node -> {digit y: the node named (its primary name, y)}."""
+        out: Dict[int, Dict[int, int]] = {v: {} for v in self.tree.nodes}
+        for key, child in self._trie_child.items():
+            out[key // self.sigma][key % self.sigma] = child
+        return out
+
+    @cached_property
+    def dictionary(self) -> Dict[int, Dict[Hashable, int]]:
+        """Tree node -> {global name: tree node} of the names it stores."""
+        out: Dict[int, Dict[Hashable, int]] = {v: {} for v in self.tree.nodes}
+        for holder, target in zip((self._dict_keys // self._stride).tolist(),
+                                  (self._dict_keys % self._stride).tolist()):
+            out[holder][self.names[target]] = target
+        return out
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -184,13 +256,16 @@ class NameIndependentTreeRouting:
     def table_budget(self, v: int) -> BitBudget:
         """Bit budget of node ``v``: hash function + Lemma 5 table + labels + dictionary."""
         require(self.tree.contains(v), f"node {v} is not in the tree")
+        local = self.tree.index[v]
         b = BitBudget()
         b.add("hash_function", self.digit_hash.storage_bits())
         b.merge(self.compact.table_budget(v), prefix="mu_")
         label_bits = self.compact.max_label_bits()
         digit_bits = bits_for_count(max(self.sigma - 1, 1))
-        b.add("trie_child_labels", digit_bits + label_bits, count=len(self.trie_children[v]))
-        b.add("dictionary", self.name_bits + label_bits, count=len(self.dictionary[v]))
+        b.add("trie_child_labels", digit_bits + label_bits,
+              count=int(self._trie_count[local]))
+        b.add("dictionary", self.name_bits + label_bits,
+              count=int(self._dict_count[local]))
         return b
 
     def table_bits(self, v: int) -> int:
@@ -199,22 +274,23 @@ class NameIndependentTreeRouting:
 
     def table_bits_list(self) -> List[int]:
         """``table_bits`` of every node (tree-node order) in one lean pass."""
-        hash_bits = self.digit_hash.storage_bits()
+        return self.table_bits_array().tolist()
+
+    def table_bits_array(self) -> np.ndarray:
+        """:meth:`table_bits` of every node in tree-node order, as one array."""
         label_bits = self.compact.max_label_bits()
         digit_bits = bits_for_count(max(self.sigma - 1, 1))
-        compact_bits = self.compact.table_bits_list()
-        return [hash_bits + cb
-                + len(self.trie_children[v]) * (digit_bits + label_bits)
-                + len(self.dictionary[v]) * (self.name_bits + label_bits)
-                for v, cb in zip(self.tree.nodes, compact_bits)]
+        return (self.digit_hash.storage_bits() + self.compact.table_bits_array()
+                + self._trie_count * (digit_bits + label_bits)
+                + self._dict_count * (self.name_bits + label_bits))
 
     def max_table_bits(self) -> int:
         """Largest per-node table."""
-        return max((self.table_bits(v) for v in self.tree.nodes), default=0)
+        return int(self.table_bits_array().max())
 
     def max_dictionary_entries(self) -> int:
         """Largest dictionary at any node (to audit the w.h.p. load bound)."""
-        return max((len(d) for d in self.dictionary.values()), default=0)
+        return int(self._dict_count.max())
 
     def header_bits(self) -> int:
         """Header: destination name + hash digits + a Lemma 5 label once learned."""
@@ -228,7 +304,11 @@ class NameIndependentTreeRouting:
     def digits_of(self, v: int) -> int:
         """Number of digits of ``v``'s primary name (its trie depth)."""
         require(self.tree.contains(v), f"node {v} is not in the tree")
-        return len(self.primary_name[v])
+        return int(self._level[self.tree.index[v]])
+
+    def digits_array(self) -> np.ndarray:
+        """:meth:`digits_of` of every tree node, in ``tree.nodes`` order."""
+        return self._level
 
     def required_bound(self, nodes: Sequence[int]) -> int:
         """The minimal ``j`` such that a ``j``-bounded search finds every node in ``nodes``.
@@ -246,11 +326,13 @@ class NameIndependentTreeRouting:
         return name in self.name_to_node
 
     def search_from_root(self, target_name: Hashable,
-                         j_bound: Optional[int] = None) -> BoundedSearchResult:
+                         j_bound: Optional[int] = None,
+                         fold: Optional[int] = None) -> BoundedSearchResult:
         """Perform a ``j``-bounded search for ``target_name`` starting at the root.
 
         The returned walk starts at the root; on success it ends at the target
-        node, otherwise it ends back at the root (the error report).
+        node, otherwise it ends back at the root (the error report).  ``fold``
+        is ``fold_name(target_name)`` when the caller has it already.
         """
         root = self.tree.root
         if j_bound is None:
@@ -258,7 +340,9 @@ class NameIndependentTreeRouting:
         j_bound = max(1, int(j_bound))
         result = BoundedSearchResult(found=False, path=[root], cost=0.0, rounds_used=0)
 
-        target_hash = self.digit_hash.digits(target_name)
+        target_hash: Optional[Tuple[int, ...]] = None
+        target_node = self.name_to_node.get(target_name)
+        stride, sigma = self._stride, self.sigma
         current = root
         for round_no in range(1, j_bound + 1):
             result.rounds_used = round_no
@@ -267,18 +351,20 @@ class NameIndependentTreeRouting:
                 result.found = True
                 result.destination = current
                 return result
-            known = self.dictionary[current].get(target_name)
-            if known is not None:
-                seg, cost = self.compact.walk(current, known)
+            if target_node is not None \
+                    and current * stride + target_node in self._dict_entry:
+                seg, cost = self.compact.walk(current, target_node)
                 self._extend(result, seg, cost)
                 result.found = True
-                result.destination = known
+                result.destination = target_node
                 return result
             if round_no == j_bound:
                 break
             # descend the trie along the destination's hash digits
+            if target_hash is None:
+                target_hash = self._descent_digits(target_name, j_bound, fold)
             digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
-            child = self.trie_children[current].get(digit)
+            child = self._trie_child.get(current * sigma + digit)
             if child is None:
                 break  # the trie has no deeper node on this hash path
             seg, cost = self.compact.walk(current, child)
@@ -293,7 +379,8 @@ class NameIndependentTreeRouting:
         return result
 
     def plan_search_from_root(self, target_name: Hashable,
-                              j_bound: Optional[int] = None
+                              j_bound: Optional[int] = None,
+                              fold: Optional[int] = None
                               ) -> Tuple[List[int], bool, Optional[int]]:
         """The waypoints of :meth:`search_from_root` without performing the walk.
 
@@ -309,19 +396,23 @@ class NameIndependentTreeRouting:
             j_bound = max(self.max_digits, 1)
         j_bound = max(1, int(j_bound))
         targets: List[int] = []
-        target_hash = self.digit_hash.digits(target_name)
+        target_hash: Optional[Tuple[int, ...]] = None
+        target_node = self.name_to_node.get(target_name)
+        stride, sigma = self._stride, self.sigma
         current = root
         for round_no in range(1, j_bound + 1):
             if self.names[current] == target_name:
                 return targets, True, current
-            known = self.dictionary[current].get(target_name)
-            if known is not None:
-                targets.append(known)
-                return targets, True, known
+            if target_node is not None \
+                    and current * stride + target_node in self._dict_entry:
+                targets.append(target_node)
+                return targets, True, target_node
             if round_no == j_bound:
                 break
+            if target_hash is None:
+                target_hash = self._descent_digits(target_name, j_bound, fold)
             digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
-            child = self.trie_children[current].get(digit)
+            child = self._trie_child.get(current * sigma + digit)
             if child is None:
                 break
             targets.append(child)
@@ -329,6 +420,18 @@ class NameIndependentTreeRouting:
         if current != root:
             targets.append(root)
         return targets, False, None
+
+    def _descent_digits(self, target_name: Hashable, j_bound: int,
+                        fold: Optional[int]) -> Tuple[int, ...]:
+        """The hash digits a ``j_bound``-bounded search can descend along.
+
+        Round ``r`` descends on digit ``r - 1`` and the last round never
+        descends, so only the first ``j_bound - 1`` digits are ever read;
+        they are hashed on the first descent, not for searches that end at
+        the root.
+        """
+        return self.digit_hash.digits(
+            target_name, fold, length=min(j_bound - 1, self.digit_hash.length))
 
     @staticmethod
     def _extend(result: BoundedSearchResult, segment: List[int], cost: float) -> None:

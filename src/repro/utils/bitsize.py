@@ -49,6 +49,22 @@ def bits_for_id(universe: int) -> int:
     return max(1, ceil_log2(universe))
 
 
+def bits_for_id_array(universe) -> "np.ndarray":
+    """:func:`bits_for_id` of every entry of an integer array (all ``>= 1``).
+
+    ``ceil(log2(u))`` is the bit length of ``u - 1``, which is the binary
+    exponent ``np.frexp`` returns; it equals :func:`bits_for_id` for every
+    ``u <= 2^52``.
+    """
+    import numpy as np
+
+    universe = np.asarray(universe, dtype=np.int64)
+    if universe.size and int(universe.min()) <= 0:
+        raise ValueError("universe must be positive")
+    return np.maximum(np.frexp((universe - 1).astype(np.float64))[1], 1
+                      ).astype(np.int64)
+
+
 def bits_for_distance() -> int:
     """Bits charged for one stored distance value."""
     return DISTANCE_BITS

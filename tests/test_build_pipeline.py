@@ -185,3 +185,95 @@ def test_spt_forest_with_limits_matches_reference_trees():
         assert tree.root == reference.root
         assert tree.parent == reference.parent
         assert tree.edge_weight == reference.edge_weight
+
+
+# --------------------------------------------------------------------- #
+# golden digests: AGM builds pinned to committed sha256 values
+# --------------------------------------------------------------------- #
+#: (family, n, seed, names) -> sha256 of an AGM k=2 build; ``seed`` seeds
+#: both the graph and the build.  The ``mixed`` graphs relabel the nodes with
+#: strings, tuples and negative ints so the pinned Lemma 4 hash digits cover
+#: every name type, not only the generator's random 60-bit integers.
+GOLDEN_AGM = {
+    ('barabasi-albert', 150, 3, 'plain'):
+        '481c8b20e1b025cc295f7390b125673ad32066ab7ec1f722b5169dc4ef8b5a8b',
+    ('barabasi-albert', 150, 11, 'mixed'):
+        'd272393dc236f7b2815328188e23ecaa59e18dec9cd569fa2bcb0271447c46eb',
+    ('erdos-renyi', 150, 3, 'plain'):
+        '597f728e5a9417214000021e21b8d381fabac5f8f9cb6b52518d62f52ec0877c',
+    ('erdos-renyi', 150, 11, 'mixed'):
+        '889cadbef00638b4c568fbad6e69fd4d5e47b1d4a52c36b223a0a594f43915d1',
+    ('grid', 144, 3, 'plain'):
+        '28082c023ea8936e6f08aaf9ece10e949d38f16aa1fc162576878aee893f842b',
+    ('grid', 144, 11, 'mixed'):
+        '731d8ff226cd1ea1a88c7e2e74838786ddef5af069f36904641c78107bc9bca6',
+}
+
+
+def _mixed_names(n):
+    return [f"host-{v}" if v % 3 == 0 else ("as", v) if v % 3 == 1 else -v - 1
+            for v in range(n)]
+
+
+def _golden_graph(family, n, seed, names):
+    from repro.graphs.graph import WeightedGraph
+
+    graph = make_workload(family, n, seed=seed)
+    if names == "mixed":
+        graph = WeightedGraph(graph.n, list(graph.edges()),
+                              names=_mixed_names(graph.n))
+    return graph
+
+
+def agm_build_digest(scheme, walks=200, seed=0):
+    """sha256 over an AGM build's Lemma 4 tables, bounds, bits and walks.
+
+    Covers, for every sparse-center Lemma 4 tree in center order and every
+    tree node in node order: the hash digits, the primary name, the trie
+    children and the dictionary, both in insertion order.  Then every search
+    bound ``b(u, i)``, every node's table-bit breakdown, and ``walks``
+    seeded scalar ``route()`` walks (path, cost, found, strategy).
+    """
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode("utf-8"))
+        h.update(b"\n")
+
+    sparse = scheme.sparse
+    for c in sorted(sparse.trees):
+        routing = sparse.trees[c]
+        put("tree", c, routing.sigma, routing.max_digits)
+        for v in routing.tree.nodes:
+            put(v, routing.hash_digits[v], routing.primary_name[v],
+                list(routing.trie_children[v].items()),
+                list(routing.dictionary[v].items()))
+    put("bounds", sorted(sparse.bound_of.items()))
+    for u in range(scheme.graph.n):
+        put("bits", u, sorted(scheme.tables[u].breakdown().items()))
+    rng = np.random.default_rng(seed)
+    names = scheme.graph.names_view()
+    for _ in range(walks):
+        u, v = (int(x) for x in rng.integers(0, scheme.graph.n, size=2))
+        result = scheme.route(u, names[v])
+        put("walk", u, v, result.path, result.cost.hex(), result.found,
+            result.strategy)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
+@pytest.mark.parametrize("family,n,seed,names", sorted(GOLDEN_AGM))
+def test_agm_build_matches_golden_digest(family, n, seed, names, mode,
+                                         monkeypatch):
+    """AGM builds in both build modes hash to the committed digest.
+
+    The digests were generated before the Lemma 4 layer became array-native,
+    so any change to hash digits, trie or dictionary contents (including
+    insertion order), search bounds, table bits or routes shows up here.
+    """
+    graph = _golden_graph(family, n, seed, names)
+    monkeypatch.setenv("REPRO_BUILD_MODE", mode)
+    scheme = build_scheme("agm", graph, k=2, seed=seed)
+    assert agm_build_digest(scheme) == GOLDEN_AGM[(family, n, seed, names)]

@@ -2,9 +2,12 @@
 
 import collections
 
+import numpy as np
 import pytest
 
-from repro.hashing.universal import BucketHash, DigitHash, KWiseHash
+from repro.graphs.graph import WeightedGraph
+from repro.hashing.universal import (BucketHash, DigitHash, KWiseHash,
+                                     fold_name, fold_names)
 
 
 class TestKWiseHash:
@@ -94,3 +97,78 @@ class TestBucketHash:
 
     def test_storage_bits_positive(self):
         assert BucketHash(64, seed=0).storage_bits() > 0
+
+
+#: operands at the edges of the 32-bit limbs and of the field GF(2^61 - 1)
+_P = (1 << 61) - 1
+EDGE_OPERANDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**60, _P - 2, _P - 1]
+
+#: names of every kind a graph may carry; each folds through its own repr
+MIXED_NAMES = ([0, 1, 7, 2**60 - 1, 2**80, -1, -5, -(2**70)]
+               + [f"node-{i}" for i in range(40)] + ["", "ü"]
+               + [("as", i) for i in range(20)] + [(1, ("nested", -2)), ()])
+
+
+class TestBatchedHorner:
+    """The batched ``uint64`` Horner step ≡ the scalar Python-int one."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_match_scalar_on_names(self, seed):
+        h = KWiseHash(11, seed=seed)
+        folds = fold_names(MIXED_NAMES)
+        assert h.values(folds).tolist() == [h.value(name) for name in MIXED_NAMES]
+
+    def test_edge_operands_and_edge_coefficients(self):
+        points = np.asarray(EDGE_OPERANDS, dtype=np.uint64)
+        h = KWiseHash(len(EDGE_OPERANDS), seed=0)
+        for coefficients in ([_P - 1] * 8, [0] * 8, [1] * 8, EDGE_OPERANDS,
+                             EDGE_OPERANDS[::-1], [2**60] * 40):
+            h.coefficients = list(coefficients)
+            assert h.values(points).tolist() == \
+                [h.value_of_fold(x) for x in EDGE_OPERANDS]
+
+    def test_single_coefficient_is_constant(self):
+        h = KWiseHash(1, seed=3)
+        points = np.asarray(EDGE_OPERANDS, dtype=np.uint64)
+        assert h.values(points).tolist() == [h.coefficients[0]] * len(points)
+
+    def test_fold_depends_on_the_object_not_its_value(self):
+        # repr(np.int64(3)) is 'np.int64(3)': folding must see the Python
+        # object the graph holds, never a numpy conversion of it
+        assert fold_name(3) != fold_name(np.int64(3))
+        assert fold_names([3]).tolist() == [fold_name(3)]
+
+    @pytest.mark.parametrize("sigma", [1, 2, 7, 25])
+    def test_digit_rows_match_per_name_digits(self, sigma):
+        dh = DigitHash(sigma=sigma, length=3, independence=9, seed=sigma)
+        rows = dh.digit_array(fold_names(MIXED_NAMES)).tolist()
+        assert [tuple(row) for row in rows] == [dh.digits(n) for n in MIXED_NAMES]
+
+    def test_digits_from_a_fold_and_prefix_length(self):
+        dh = DigitHash(sigma=5, length=4, seed=2)
+        for name in MIXED_NAMES:
+            full = dh.digits(name)
+            assert dh.digits(name, fold=fold_name(name)) == full
+            assert dh.digits(name, length=2) == full[:2]
+
+    def test_buckets_match_per_name_bucket(self):
+        bh = BucketHash(13, seed=4)
+        assert bh.buckets(fold_names(MIXED_NAMES)).tolist() == \
+            [bh.bucket(name) for name in MIXED_NAMES]
+
+
+class TestGraphNameFolds:
+    def test_fold_array_matches_per_name_fold(self):
+        graph = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+                              names=["a", ("b", 1), 2**80, -3])
+        assert graph.name_folds().dtype == np.uint64
+        assert graph.name_folds().tolist() == \
+            [fold_name(name) for name in graph.names_view()]
+
+    def test_name_fold_reads_known_names_and_folds_others(self):
+        graph = WeightedGraph(2, [(0, 1, 1.0)], names=[3, "x"])
+        assert graph.name_fold(3) == fold_name(3)
+        assert graph.name_fold("x") == fold_name("x")
+        assert graph.name_fold("unknown") == fold_name("unknown")
+        # an equal name of another type has another repr, so another fold
+        assert graph.name_fold(np.int64(3)) == fold_name(np.int64(3))

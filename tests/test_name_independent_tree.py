@@ -177,3 +177,68 @@ class TestEdgeCases:
         graph, tree, routing = setup_k2
         assert routing.contains_name(graph.name_of(tree.root))
         assert not routing.contains_name("nope")
+
+
+def _reference_tables(routing):
+    """Lemma 4 names, trie and dictionaries built node by node (§3.1).
+
+    Primary names go out in depth order level by level; the trie links a
+    name to its one-digit extensions; a node with a ``j``-digit name stores
+    every node of ``V_{j+1}`` whose hash prefix equals that name.
+    """
+    sigma, tree = routing.sigma, routing.tree
+    primary, node_of = {}, {}
+    level, capacity, index = 0, 1, 0
+    for node in tree.nodes_by_depth():
+        if index >= capacity:
+            level += 1
+            capacity = sigma ** level if sigma > 1 else 1
+            index = 0
+        digits, value = [0] * level, index
+        for pos in range(level - 1, -1, -1):
+            digits[pos] = value % sigma if sigma > 1 else 0
+            value //= sigma
+        primary[node] = tuple(digits)
+        node_of[tuple(digits)] = node
+        index += 1
+    depth = max(len(p) for p in primary.values())
+    trie = {v: {} for v in tree.nodes}
+    for node, name in primary.items():
+        if name:
+            trie[node_of[name[:-1]]][name[-1]] = node
+    hashes = {v: routing.digit_hash.digits(routing.names[v]) for v in tree.nodes}
+    dictionary = {v: {} for v in tree.nodes}
+    for target in tree.nodes:
+        for j in range(max(len(primary[target]) - 1, 0), depth + 1):
+            holder = node_of.get(hashes[target][:j])
+            if holder is not None:
+                dictionary[holder][routing.names[target]] = target
+    return primary, hashes, trie, dictionary
+
+
+class TestArrayTablesMatchReference:
+    """The rank-arithmetic array build ≡ the node-by-node construction."""
+
+    @pytest.mark.parametrize("m,k,sigma,seed", [
+        (50, 2, None, 3), (60, 3, None, 4), (90, 3, 3, 5), (40, 4, 2, 6),
+        (17, 2, 1, 7), (1, 2, None, 8), (2, 2, None, 9), (130, 2, 11, 10)])
+    def test_tables_match_node_by_node_build(self, m, k, sigma, seed):
+        graph = random_tree_graph(m, seed=seed) if m > 1 else None
+        tree = shortest_path_tree(graph, 0) if graph else Tree.single_node(0)
+        names = {v: (graph.name_of(v) if graph else "solo") for v in tree.nodes}
+        routing = NameIndependentTreeRouting(tree, names, k=k, sigma=sigma,
+                                             seed=seed)
+        primary, hashes, trie, dictionary = _reference_tables(routing)
+        assert list(routing.primary_name.items()) == list(primary.items())
+        assert routing.hash_digits == hashes
+        assert [list(d.items()) for d in routing.trie_children.values()] == \
+            [list(d.items()) for d in trie.values()]
+        assert [list(d.items()) for d in routing.dictionary.values()] == \
+            [list(d.items()) for d in dictionary.values()]
+        assert routing.max_digits == max(len(p) for p in primary.values())
+        assert [routing.digits_of(v) for v in tree.nodes] == \
+            [len(primary[v]) for v in tree.nodes]
+        assert routing.table_bits_list() == [routing.table_bits(v)
+                                             for v in tree.nodes]
+        assert routing.max_dictionary_entries() == \
+            max(len(d) for d in dictionary.values())

@@ -124,3 +124,90 @@ class TestPaths:
     def test_tree_neighbors(self, sample_tree):
         assert sample_tree.tree_neighbors(1) == [(0, 1.0), (3, 1.5), (4, 0.5)]
         assert sample_tree.tree_neighbors(0) == [(1, 1.0), (2, 2.0)]
+
+
+def _reference_structure(root, parent, weight):
+    """Node-by-node depths, hop depths, preorder intervals and subtree sizes.
+
+    The iterative DFS visits children in ascending id order and sums depths
+    from the root down; the array-built :class:`Tree` must agree exactly.
+    """
+    children = {}
+    for child, par in parent.items():
+        children.setdefault(par, []).append(child)
+    depth, hops = {root: 0.0}, {root: 0}
+    dfs_in, dfs_out, size = {}, {}, {}
+    counter = 0
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        kids = sorted(children.get(node, []))
+        if done:
+            size[node] = 1 + sum(size[c] for c in kids)
+            dfs_out[node] = dfs_in[node] + size[node] - 1
+            continue
+        dfs_in[node] = counter
+        counter += 1
+        stack.append((node, True))
+        for c in reversed(kids):
+            depth[c] = depth[node] + weight[c]
+            hops[c] = hops[node] + 1
+            stack.append((c, False))
+    return depth, hops, dfs_in, dfs_out, size
+
+
+class TestArrayBuildMatchesReference:
+    """The per-level array build ≡ a node-by-node DFS (exact, floats included)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("shape", ["random", "path", "star", "broom"])
+    def test_structure_matches_node_by_node_dfs(self, seed, shape):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 120))
+        ids = rng.permutation(10 * m)[:m].tolist()   # sparse, unsorted ids
+        root = ids[0]
+        parent = {}
+        for pos in range(1, m):
+            if shape == "path":
+                up = pos - 1
+            elif shape == "star":
+                up = 0
+            elif shape == "broom":
+                up = pos - 1 if pos < m // 2 else int(rng.integers(0, pos))
+            else:
+                up = int(rng.integers(0, pos))
+            parent[ids[pos]] = ids[up]
+        weight = {c: float(rng.uniform(0.1, 3.0)) for c in parent}
+        tree = Tree(root=root, parent=parent, edge_weight=weight)
+        depth, hops, dfs_in, dfs_out, size = _reference_structure(root, parent, weight)
+        assert tree.nodes == sorted(ids)
+        assert tree.depth == depth          # exact: same float summation order
+        assert tree.hop_depth == hops
+        assert tree.dfs_in == dfs_in
+        assert tree.dfs_out == dfs_out
+        assert tree.subtree_size == size
+        assert tree.children == {v: sorted(c for c, p in parent.items() if p == v)
+                                 for v in ids}
+        slots = tree._forwarding_slots
+        assert slots.node_of_slot.tolist() == sorted(ids, key=dfs_in.__getitem__)
+        assert slots.parent_local.tolist() == [
+            dfs_in[parent[v]] if v in parent else -1
+            for v in slots.node_of_slot.tolist()]
+        again = Tree.from_arrays(root, list(parent), [parent[c] for c in parent],
+                                 [weight[c] for c in parent])
+        assert again.dfs_in == dfs_in and again.depth == depth
+        assert again.parent == parent and again.edge_weight == weight
+
+    def test_from_arrays_rejects_a_child_listed_twice(self):
+        with pytest.raises(ValidationError):
+            Tree.from_arrays(0, [1, 1], [0, 0], [1.0, 2.0])
+
+    def test_from_arrays_rejects_the_root_as_a_child(self):
+        with pytest.raises(ValidationError):
+            Tree.from_arrays(0, [0, 1], [1, 0], [1.0, 1.0])
+
+    def test_cycle_away_from_the_root_rejected(self):
+        with pytest.raises(ValidationError):
+            Tree(root=0, parent={1: 2, 2: 1}, edge_weight={1: 1.0, 2: 1.0})
