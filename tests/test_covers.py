@@ -1,5 +1,6 @@
 """Tests for Lemma 6: sparse covers and tree covers."""
 
+import hashlib
 import math
 
 import pytest
@@ -87,17 +88,103 @@ class TestCoverModeParity:
     node subsets.  ``auto`` must resolve to one of the two.
     """
 
+    #: (graph, k, radius) -> sha256 of the scalar reference's canonical
+    #: cover (:meth:`_digest`), taken from the scalar coarsening
+    GOLDEN_SCALAR = {
+        ('er-60', 1, 0.5):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 1, 1.0):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 1, 2.5):
+            '4010adcfb9aab8ebcb02e09974386f6456c89c009cd3b38c5fdac2bc42771322',
+        ('er-60', 1, 6.0):
+            'fc9c96a7c7a4230f22591fa4b6d84ce9a40f440debaf2f0dfb97b67c931b0bef',
+        ('er-60', 2, 0.5):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 2, 1.0):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 2, 2.5):
+            '04913c990bda7d6012b7866cb337863f4c4243f87cd550bfd8314f014afc2f5b',
+        ('er-60', 2, 6.0):
+            '0167d3abaf3d7b05027c922ec808b4a874ffa8a36b134f2a1718d0f190a85e1c',
+        ('er-60', 3, 0.5):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 3, 1.0):
+            '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
+        ('er-60', 3, 2.5):
+            '95e6ebd1c857427c067064f53640d6210dff8f37db93b2ce9ec032f3e1fa1d7f',
+        ('er-60', 3, 6.0):
+            '0167d3abaf3d7b05027c922ec808b4a874ffa8a36b134f2a1718d0f190a85e1c',
+        ('grid-6x6', 1, 0.5):
+            '5c29b4324a3fcea5f79839993405a11d6addd2fe65aebe017d84aee79d130df9',
+        ('grid-6x6', 1, 1.0):
+            '0e8b66e951e593a76da53f9fd116ac36b6eeea8d10001a50174ec0a0e2cbb81e',
+        ('grid-6x6', 1, 2.5):
+            '68c08842a38d554c0186d78dab3df756c6348192654c310243a065d41df21209',
+        ('grid-6x6', 1, 6.0):
+            '31721944755c7d92ac285eb6dd89491b2181a02088a2a09fb601c69cdbe4d799',
+        ('grid-6x6', 2, 0.5):
+            '5c29b4324a3fcea5f79839993405a11d6addd2fe65aebe017d84aee79d130df9',
+        ('grid-6x6', 2, 1.0):
+            '072238e1e83e1b4e06cd2d2489a56413ba12024b06f7d40179a29bf01dfea6b0',
+        ('grid-6x6', 2, 2.5):
+            '5f935a00a413f7aad2c45020fcc4d01c1a8ff21e2ed0897a866970dd9c31a16c',
+        ('grid-6x6', 2, 6.0):
+            '31721944755c7d92ac285eb6dd89491b2181a02088a2a09fb601c69cdbe4d799',
+        ('grid-6x6', 3, 0.5):
+            '5c29b4324a3fcea5f79839993405a11d6addd2fe65aebe017d84aee79d130df9',
+        ('grid-6x6', 3, 1.0):
+            'e407ae7dedc9605276eef36a23b0edbde28efbe0a94ee6f3704f6aab6e3b9c01',
+        ('grid-6x6', 3, 2.5):
+            '5f935a00a413f7aad2c45020fcc4d01c1a8ff21e2ed0897a866970dd9c31a16c',
+        ('grid-6x6', 3, 6.0):
+            '31721944755c7d92ac285eb6dd89491b2181a02088a2a09fb601c69cdbe4d799',
+        ('path-40', 1, 0.5):
+            'ce7b7c85c7f3aec2110498d6ee48aeb43daff398c92d94feb95167b756cb43d7',
+        ('path-40', 1, 1.0):
+            '63ee83d14c84f5a5af598d61f88f977c3506126aa77b427e025371ba287f5845',
+        ('path-40', 1, 2.5):
+            '0b8160e986b46dd09276a69cdc3ed54f129331ce37ddbc80713f39930b83d2be',
+        ('path-40', 1, 6.0):
+            'd6bdcb699b783b9532faa1a7d658625322404a7e4921ed5ae5e3edffc7bbcc97',
+        ('path-40', 2, 0.5):
+            'ce7b7c85c7f3aec2110498d6ee48aeb43daff398c92d94feb95167b756cb43d7',
+        ('path-40', 2, 1.0):
+            '63ee83d14c84f5a5af598d61f88f977c3506126aa77b427e025371ba287f5845',
+        ('path-40', 2, 2.5):
+            '0b8160e986b46dd09276a69cdc3ed54f129331ce37ddbc80713f39930b83d2be',
+        ('path-40', 2, 6.0):
+            'b4c269b4febd631167aaac874f1708fde0d263b0636d338963ccb308150f58dd',
+        ('path-40', 3, 0.5):
+            'ce7b7c85c7f3aec2110498d6ee48aeb43daff398c92d94feb95167b756cb43d7',
+        ('path-40', 3, 1.0):
+            '63ee83d14c84f5a5af598d61f88f977c3506126aa77b427e025371ba287f5845',
+        ('path-40', 3, 2.5):
+            'a775b2e3489d4be28ec26e001ea520d0bf4a44ecaa76aab719fa45aa5a46e2d0',
+        ('path-40', 3, 6.0):
+            'b4c269b4febd631167aaac874f1708fde0d263b0636d338963ccb308150f58dd',
+    }
+
+    GRAPHS = {"grid-6x6": lambda: grid_graph(6, 6, weights="unit", seed=1),
+              "er-60": lambda: erdos_renyi_graph(60, seed=9),
+              "path-40": lambda: path_graph(40, seed=4)}
+
     def _canonical(self, cover):
         clusters = sorted((sorted(c.nodes), c.center,
                            sorted(c.kernel_centers)) for c in cover.clusters)
         return clusters, dict(cover.home)
 
+    @staticmethod
+    def _digest(canonical):
+        clusters, home = canonical
+        return hashlib.sha256(
+            repr((clusters, sorted(home.items()))).encode()).hexdigest()
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5, 6.0])
     def test_modes_bit_identical(self, monkeypatch, k, radius):
-        for graph in (grid_graph(6, 6, weights="unit", seed=1),
-                      erdos_renyi_graph(60, seed=9),
-                      path_graph(40, seed=4)):
+        for label, make in self.GRAPHS.items():
+            graph = make()
             oracle = DistanceOracle(graph)
             outs = {}
             for mode in ("csr", "regions"):
@@ -110,6 +197,8 @@ class TestCoverModeParity:
                 build_sparse_cover(graph, k, radius, oracle=oracle))
             monkeypatch.delenv("REPRO_BUILD_MODE", raising=False)
             assert outs["csr"] == outs["regions"] == outs["scalar"]
+            assert self._digest(outs["csr"]) == \
+                self.GOLDEN_SCALAR[(label, k, radius)]
 
     def test_subset_universe_parity(self, monkeypatch):
         graph = erdos_renyi_graph(70, seed=12)
