@@ -2,27 +2,25 @@
 
 The paper's headline object is a *polynomial-time constructible* space–stretch
 trade-off; this bench times the full preprocessing of all six schemes on a
-growing ladder ``n ∈ {200, 1000, 5000, 20000}`` and contrasts the default
-array-native construction pipeline (shared ``BuildContext``: batched SPT
-forests, CSR ball tables, vectorized cover coarsening, array-built next-hop
-tables) against the legacy scalar constructors (``REPRO_BUILD_MODE=scalar``,
-the build-parity reference).
+growing ladder ``n ∈ {200, 1000, 5000, 20000}`` with the array-native
+construction pipeline (shared ``BuildContext``: batched SPT forests, CSR
+ball tables, vectorized cover coarsening, array-built next-hop tables).
 
 Each rung uses the scheme's own ``DistanceOracle`` backend auto-selection —
 dense matrix up to the dense-node limit, lazy LRU rows beyond it — so the big
-rungs never allocate the n×n matrix.  The scalar baseline is skipped above
-``--scalar-cap`` (its per-destination Python loops are quadratic; the ladder
-would take hours), and the aggregate speedup is computed over the rungs both
-modes completed.  Every built scheme is also evaluated on a small pair batch
-(failures must be zero) so a "fast but broken" build cannot pass.
+rungs never allocate the n×n matrix.  Every built scheme is also evaluated
+on a small pair batch (failures must be zero) so a "fast but broken" build
+cannot pass.
 
-Two baselines are reported: the live ``REPRO_BUILD_MODE=scalar`` constructors
-(re-measured every run) and the frozen seed-era build record (the ``build_s``
-column BENCH_e14.json carried before this pipeline landed).  Results are
-emitted as machine-readable JSON (``--json``, default ``BENCH_e11.json`` next
-to the repo root).  ``--quick`` shrinks the run for CI (one small rung);
+Two recorded baselines are reported: the build seconds of the original
+per-node scalar constructors (:data:`SCALAR_BUILD_SECONDS`, measured on the
+host described by :data:`SCALAR_BUILD_HOST` before those constructors were
+deleted) and the frozen seed-era build record (the ``build_s`` column
+BENCH_e14.json carried before this pipeline landed).  Results are emitted as
+machine-readable JSON (``--json``, default ``BENCH_e11.json`` next to the
+repo root).  ``--quick`` shrinks the run for CI (one small rung);
 ``--assert-speedup`` fails the process when any scheme fails routing, when
-the aggregate speedup over the scalar mode falls below ``--min-speedup``
+the aggregate speedup over the scalar record falls below ``--min-speedup``
 (default 3 on the full ladder, 1.0 in quick mode), or when the aggregate over
 the seed record — wherever its cells are in scope — falls below 10x (the E11
 acceptance bar).
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import time
 
 from repro.construction.context import BuildContext
@@ -54,15 +51,14 @@ from common import bench_meta, default_json_path, write_bench_json
 
 DEFAULT_SIZES = [200, 1000, 5000, 20000]
 QUICK_SIZES = [200]
-DEFAULT_SCALAR_CAP = 5000
 EVAL_PAIRS = 200
 
 #: Seed-era construction times (seconds) for the identical build cells —
 #: the ``build_s`` column of BENCH_e14.json as committed by the forwarding
 #: PR, i.e. the same barabasi-albert/seed-42/k=2 builds (AGM with the same
 #: scaled experiment constants) measured *before* the vectorized pipeline
-#: landed.  The ladder reports the trajectory against both baselines: the
-#: living scalar mode (re-measured every run) and this frozen seed record.
+#: landed.  The ladder reports the trajectory against both recorded
+#: baselines: the scalar constructors' record below and this seed record.
 #: Cells are limited to rungs the ladder still runs on the dense backend —
 #: the seed record was measured dense, and the seed could not build the four
 #: quadratic-constructor schemes at n=20000 in reasonable time at all (which
@@ -74,6 +70,31 @@ SEED_BUILD_SECONDS = {
     (5000, "agm"): 33.5606, (5000, "awerbuch-peleg"): 51.147,
     (5000, "cowen"): 259.079, (5000, "exponential"): 1.2085,
     (5000, "shortest-path"): 179.7295, (5000, "thorup-zwick"): 60.6583,
+}
+
+#: Build seconds of the original per-node scalar constructors for the same
+#: barabasi-albert/seed-42/k=2 cells: the median of 3 runs of this
+#: ladder's scalar arm (``--sizes 200 1000 5000``) at the last commit that
+#: still had those constructors, on the host below.  The aggregate
+#: speed-up gate compares the live array-native builds against them.
+SCALAR_BUILD_SECONDS = {
+    (200, "agm"): 0.4905, (200, "shortest-path"): 0.1818,
+    (200, "cowen"): 0.2511, (200, "thorup-zwick"): 0.2055,
+    (200, "awerbuch-peleg"): 0.2317, (200, "exponential"): 0.0215,
+    (1000, "agm"): 2.6402, (1000, "shortest-path"): 5.1920,
+    (1000, "cowen"): 6.6981, (1000, "thorup-zwick"): 1.5150,
+    (1000, "awerbuch-peleg"): 2.2179, (1000, "exponential"): 0.1244,
+    (5000, "agm"): 36.4395, (5000, "shortest-path"): 142.0490,
+    (5000, "cowen"): 200.8075, (5000, "thorup-zwick"): 17.3289,
+    (5000, "awerbuch-peleg"): 37.6056, (5000, "exponential"): 0.4748,
+}
+
+#: Where and how :data:`SCALAR_BUILD_SECONDS` was measured.
+SCALAR_BUILD_HOST = {
+    "git_sha": "30410ff", "cpu": "Intel Xeon, 2 cores, shared VM",
+    "cpu_count": 2, "numba": "absent", "python": "3.11.7",
+    "numpy": "2.4.6", "scipy": "1.17.1", "backend": "dense", "runs": 3,
+    "statistic": "median",
 }
 
 
@@ -118,8 +139,6 @@ def main() -> None:
                         choices=list(SCHEME_NAMES))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--family", default="barabasi-albert")
-    parser.add_argument("--scalar-cap", type=int, default=DEFAULT_SCALAR_CAP,
-                        help="largest n on which the scalar baseline also runs")
     parser.add_argument("--parallel", type=int, default=None,
                         help="worker threads for the BuildContext fan-out")
     parser.add_argument("--pairs", type=int, default=EVAL_PAIRS,
@@ -127,7 +146,7 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: one small rung")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="aggregate speedup over the live scalar mode the "
+                        help="aggregate speedup over the scalar record the "
                              "--assert-speedup gate requires (default 3, "
                              "quick mode 1.0; the seed-record bar is a "
                              "separate hard 10x)")
@@ -145,7 +164,8 @@ def main() -> None:
         else (1.0 if args.quick else 3.0)
     json_path = args.json or default_json_path(__file__, "BENCH_e11.json")
 
-    print("# E11: construction ladder, vectorized pipeline vs scalar baseline")
+    print("# E11: construction ladder, array-native pipeline vs the scalar "
+          "and seed records")
     header = (f"{'n':>6} {'scheme':>15} {'vect_s':>8} {'scalar_s':>9} "
               f"{'speedup':>8} {'failures':>8} {'backend':>8}")
     print(header)
@@ -159,26 +179,20 @@ def main() -> None:
         oracle = DistanceOracle(graph)
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(min(args.pairs, n), seed=args.seed + 1)
+        recorded = args.family == "barabasi-albert" and args.seed == 42
         for name in args.schemes:
-            os.environ["REPRO_BUILD_MODE"] = "vectorized"
             vect_s, scheme = build_once(name, graph, oracle, args.seed + 2,
                                         args.parallel)
             report = sim.evaluate(scheme, pairs=pairs)
             del scheme  # keep the next timed build free of this one's footprint
-            scalar_s = None
-            if n <= args.scalar_cap:
-                os.environ["REPRO_BUILD_MODE"] = "scalar"
-                scalar_s, _ = build_once(name, graph, oracle, args.seed + 2,
-                                         args.parallel)
-                os.environ["REPRO_BUILD_MODE"] = "vectorized"
-            seed_s = SEED_BUILD_SECONDS.get((n, name)) \
-                if args.family == "barabasi-albert" and args.seed == 42 else None
+            scalar_s = SCALAR_BUILD_SECONDS.get((n, name)) if recorded else None
+            seed_s = SEED_BUILD_SECONDS.get((n, name)) if recorded else None
             row = {
                 "n": n,
                 "scheme": name,
                 "backend": oracle.backend_name,
                 "vectorized_s": round(vect_s, 4),
-                "scalar_s": round(scalar_s, 4) if scalar_s is not None else None,
+                "scalar_s": scalar_s,
                 "seed_s": seed_s,
                 "speedup": round(scalar_s / vect_s, 2) if scalar_s else None,
                 "speedup_vs_seed": round(seed_s / vect_s, 2) if seed_s else None,
@@ -201,8 +215,8 @@ def main() -> None:
     total_vect_seeded = sum(r["vectorized_s"] for r in seeded)
     aggregate_vs_seed = total_seed / total_vect_seeded if total_vect_seeded \
         else None
-    print(f"\naggregate construction speedup vs the scalar mode "
-          f"(sum scalar / sum vectorized, dual-mode rungs): {aggregate:.1f}x")
+    print(f"\naggregate construction speedup vs the scalar record "
+          f"(sum scalar / sum vectorized, recorded cells): {aggregate:.1f}x")
     if aggregate_vs_seed is not None:
         print(f"aggregate construction speedup vs the seed record "
               f"(sum seed / sum vectorized, recorded cells): "
@@ -214,12 +228,12 @@ def main() -> None:
         "sizes": sizes,
         "schemes": args.schemes,
         "seed": args.seed,
-        "scalar_cap": args.scalar_cap,
         "eval_pairs": args.pairs,
         "aggregate_speedup": round(aggregate, 2),
         "aggregate_speedup_vs_seed": round(aggregate_vs_seed, 2)
         if aggregate_vs_seed is not None else None,
         "rows": rows,
+        "scalar_record_host": SCALAR_BUILD_HOST,
         "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
@@ -228,11 +242,13 @@ def main() -> None:
     if args.assert_speedup:
         broken = [r for r in rows if r["failures"]]
         assert not broken, f"routing failures after vectorized build: {broken}"
-        assert both, ("--assert-speedup needs at least one rung at or below "
-                      "--scalar-cap, otherwise the speedup gate is vacuous")
-        # the gate: vectorized must beat the scalar mode by --min-speedup in
-        # aggregate, and — whenever seed-era cells are in scope — beat the
-        # seed record by >= 10x (the E11 ladder acceptance bar)
+        assert both, ("--assert-speedup needs at least one cell of the scalar "
+                      "record in scope (barabasi-albert, seed 42, n in "
+                      f"{sorted({n for n, _ in SCALAR_BUILD_SECONDS})}), "
+                      "otherwise the speedup gate is vacuous")
+        # the gate: the array-native builds must beat the scalar record by
+        # --min-speedup in aggregate, and — whenever seed-era cells are in
+        # scope — beat the seed record by >= 10x (the E11 acceptance bar)
         assert aggregate >= min_speedup, (
             f"aggregate construction speedup {aggregate:.2f}x below the "
             f"required {min_speedup:.2f}x")
@@ -245,7 +261,7 @@ def main() -> None:
                 f"aggregate speedup vs the seed record {aggregate_vs_seed:.2f}x "
                 f"fell below 10x")
         print(f"assertions passed: zero failures, aggregate >= "
-              f"{min_speedup:.1f}x vs scalar mode"
+              f"{min_speedup:.1f}x vs the scalar record"
               + (f", {aggregate_vs_seed:.1f}x vs seed record"
                  if aggregate_vs_seed is not None else ""))
 

@@ -4,7 +4,8 @@ Every benchmark regenerates one of the paper-experiment tables (E1–E12,
 whose configs the README's "Experiment matrix" section lists) and records
 the reproduced rows in ``benchmark.extra_info`` so that
 ``pytest benchmarks/ --benchmark-only`` both times the operations and leaves
-the measured numbers in the report (the source for EXPERIMENTS.md).
+the measured numbers in the report (the same rows the README's
+"Experiment matrix" configs reproduce).
 
 Sizes default to the *quick* workloads; set ``REPRO_BENCH_FULL=1`` for the
 larger ones.

@@ -28,10 +28,9 @@ import math
 import numpy as np
 from typing import Dict, Hashable, List, Optional
 
-from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
+from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryTreeRouting
@@ -112,12 +111,7 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
                         if responsibility else 0.0
                     jobs.append(SPTJob(w, responsibility, limit))
                     job_keys.append((i, w))
-        if scalar_build_mode():
-            trees = [shortest_path_tree(graph, job.root, members=job.members)
-                     for job in jobs]
-        else:
-            trees = context.spt_trees(jobs)
-        for (i, w), tree in zip(job_keys, trees):
+        for (i, w), tree in zip(job_keys, context.spt_trees(jobs)):
             self._tree_key[(i, w)] = DictionaryTreeRouting(
                 tree, names, name_bits=self.name_bits,
                 seed=derive_rng(seed, 11, i, w))

@@ -13,22 +13,16 @@ tables.  This package makes construction itself batch array work:
   :meth:`repro.routing.forwarding.TreeBank.freeze` per-tree slot caches
   directly, and an order-preserving worker-thread ``map`` for independent
   scales / cluster chunks.
-* :func:`~repro.construction.context.scalar_build_mode` — the
-  ``REPRO_BUILD_MODE=scalar`` escape hatch that re-enables the original
-  scalar constructors; the build-parity tests assert the vectorized and
-  scalar paths produce identical schemes.
 
 ``build_matrix`` (the construction sibling of ``run_matrix``) lives in
 :mod:`repro.experiments.harness`.
 """
 
 from repro.construction.context import (BuildContext, SPTJob,
-                                        scalar_build_mode,
                                         tree_from_predecessors)
 
 __all__ = [
     "BuildContext",
     "SPTJob",
-    "scalar_build_mode",
     "tree_from_predecessors",
 ]

@@ -24,16 +24,12 @@ primitives so all six schemes share them:
 Trees produced here are built straight from the Dijkstra predecessor arrays
 (:meth:`repro.graphs.trees.Tree.from_arrays`) and carry their forwarding
 slot arrays from construction, so a later ``TreeBank.freeze`` finds every
-per-tree cache already populated.
-
-``REPRO_BUILD_MODE=scalar`` switches the schemes back to their original
-scalar constructors; the build-parity suite asserts both paths produce
-identical instances.
+per-tree cache already populated.  Committed golden digests
+(``tests/test_build_pipeline.py``) pin what every scheme's build produces.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -42,25 +38,13 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree
 from repro.storage import persist_array
 from repro.utils.validation import require
 
 #: roots per SciPy kernel call in :meth:`BuildContext.spt_trees`
 DEFAULT_SPT_CHUNK = 256
-
-
-def scalar_build_mode() -> bool:
-    """Whether the legacy scalar construction paths are forced.
-
-    Controlled by ``REPRO_BUILD_MODE`` (``vectorized`` is the default;
-    ``scalar`` re-enables the original per-node Python constructors).  The
-    build-parity tests build schemes under both modes and assert the results
-    are identical.
-    """
-    return os.environ.get("REPRO_BUILD_MODE", "vectorized").lower() == "scalar"
 
 
 def limited_dijkstra(csr, sources: Sequence[int], limit: Optional[float] = None,
@@ -252,13 +236,6 @@ class BuildContext:
             for j, tree in part:
                 trees[j] = tree
         return trees  # type: ignore[return-value]
-
-    def spt_tree(self, root: int, members: Optional[Sequence[int]] = None,
-                 limit: Optional[float] = None) -> Tree:
-        """Single-tree convenience wrapper of :meth:`spt_trees`."""
-        if scalar_build_mode():
-            return shortest_path_tree(self.graph, root, members=members)
-        return self.spt_trees([SPTJob(root, members, limit)])[0]
 
     # ------------------------------------------------------------------ #
     # streamed ball tables

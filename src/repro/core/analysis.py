@@ -1,7 +1,8 @@
 """Theoretical bounds of the paper, as evaluable functions.
 
-The benches print the measured quantity next to the corresponding bound so
-that EXPERIMENTS.md can record paper-vs-measured for every claim.  All
+The benches and the experiment-matrix kinds (README, "Experiment matrix")
+print the measured quantity next to the corresponding bound, so every row
+records paper-vs-measured for its claim.  All
 "bounds" are asymptotic, so each function exposes its constant factor as a
 parameter; defaults are the constants that appear (explicitly or implicitly)
 in the paper's lemmas.
@@ -27,7 +28,8 @@ def lemma11_table_bits(n: int, k: int, constant: float = 1.0) -> float:
 
     Note: the paper's Theorem 1 statement says ``n^{1/k}`` while its own proof
     (via Lemma 11) derives ``n^{3/k}``; the reproduction reports both so the
-    discrepancy is visible (see EXPERIMENTS.md).
+    discrepancy is visible (the ``bits_bound_thm1`` and ``bits_bound_lemma11``
+    columns of the E1 tradeoff rows, ``configs/e1_tradeoff.json``).
     """
     logn = max(math.log2(max(n, 2)), 1.0)
     return constant * (k ** 2) * (n ** (3.0 / k)) * (logn ** 3)

@@ -19,16 +19,17 @@ and are skipped for the remainder of the current *phase* so that the clusters
 produced within one phase stay (kernel-)disjoint, which is what bounds the
 per-node membership.
 
-Two implementations of the coarsening are provided.  The default is
-array-native: balls arrive as flat CSR arrays (one streamed row-block pass
-over the oracle), the ball→center incidence is transposed once, and each
-cluster's "which pending balls touch me" query is a gather over the
-transposed CSR restricted to the cluster's newly absorbed nodes — stamped
-visit arrays replace the per-cluster Python set algebra, whose
+Two array-native implementations of the coarsening are provided
+(``REPRO_COVER_MODE``).  In the ``csr`` mode balls arrive as flat CSR arrays
+(one streamed row-block pass over the oracle), the ball→center incidence is
+transposed once, and each cluster's "which pending balls touch me" query is
+a gather over the transposed CSR restricted to the cluster's newly absorbed
+nodes — stamped visit arrays replace per-cluster Python set algebra, whose
 ``O(pending² · ball)`` intersection tests dominated every scale of the
-hierarchical baselines.  ``REPRO_BUILD_MODE=scalar`` re-enables the original
-set-based loop; both produce identical clusters in identical order (asserted
-by the build-parity tests).
+hierarchical baselines.  The ``regions`` mode replaces the ball rows with
+multi-source limited Dijkstra layers.  Both produce the clusters of the
+original set-based coarsening loop in identical order; committed digests of
+that loop's covers pin them (``tests/test_covers.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.construction.context import BuildContext, scalar_build_mode
+from repro.construction.context import BuildContext
 from repro.construction.kernels import absorb_kernel
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
@@ -135,16 +136,12 @@ def build_sparse_cover(
     require(rho > 0, f"rho must be positive, got {rho}")
     if context is None:
         context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
-    oracle = context.oracle
     if nodes is None:
         universe = np.arange(graph.n, dtype=np.int64)
     else:
         universe = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
     n_eff = max(universe.size, 2)
     growth = n_eff ** (1.0 / k)
-
-    if scalar_build_mode():
-        return _coarsen_scalar(oracle, k, rho, universe, growth)
 
     allowed_mask = None
     if nodes is not None:
@@ -435,64 +432,5 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
                 absorb(touch_set, mark=True)
             else:  # pragma: no cover - the growth loop always breaks within k+1 rounds
                 raise RuntimeError("sparse cover growth loop failed to terminate")
-
-    return SparseCover(k=k, rho=rho, clusters=clusters, home=home)
-
-
-# --------------------------------------------------------------------------- #
-# scalar coarsening (REPRO_BUILD_MODE=scalar; the build-parity reference)
-# --------------------------------------------------------------------------- #
-def _coarsen_scalar(oracle: DistanceOracle, k: int, rho: float,
-                    universe_arr: np.ndarray, growth: float) -> SparseCover:
-    universe = [int(v) for v in universe_arr]
-    allowed = set(universe)
-
-    # Pre-compute every ball restricted to the allowed node set.  Sources are
-    # prefetched in blocks so the lazy backend fills its row cache with one
-    # vectorized multi-source call per block instead of a Dijkstra per ball.
-    balls: Dict[int, Set[int]] = {}
-    for chunk in oracle.iter_prefetched_chunks(universe):
-        for v in chunk:
-            balls[v] = {u for u in oracle.ball(v, rho) if u in allowed}
-
-    remaining: Set[int] = set(universe)          # centers whose ball still needs covering
-    clusters: List[Cluster] = []
-    home: Dict[int, int] = {}
-
-    while remaining:
-        phase_pending: Set[int] = set(remaining)  # centers processable in this phase
-        progressed = False
-        while phase_pending:
-            v = min(phase_pending)
-            kernel: Set[int] = {v}
-            cluster_nodes: Set[int] = set(balls[v])
-            # grow while one more layer multiplies the kernel by >= n^{1/k}
-            for _ in range(k + 1):
-                touching = {c for c in phase_pending
-                            if c in remaining and not balls[c].isdisjoint(cluster_nodes)}
-                touching |= kernel
-                if len(touching) < growth * len(kernel):
-                    # final layer: absorb the touching balls into the cluster body,
-                    # but only the current kernel is considered covered
-                    final_nodes = set(cluster_nodes)
-                    for c in touching:
-                        final_nodes |= balls[c]
-                    index = len(clusters)
-                    clusters.append(Cluster(index=index, center=v,
-                                            nodes=final_nodes, kernel_centers=set(kernel)))
-                    for c in kernel:
-                        home[c] = index
-                    remaining -= kernel
-                    phase_pending -= touching
-                    phase_pending -= kernel
-                    progressed = True
-                    break
-                kernel = set(touching)
-                for c in touching:
-                    cluster_nodes |= balls[c]
-            else:  # pragma: no cover - the growth loop always breaks within k+1 rounds
-                raise RuntimeError("sparse cover growth loop failed to terminate")
-        if not progressed:  # pragma: no cover - defensive
-            raise RuntimeError("sparse cover made no progress in a phase")
 
     return SparseCover(k=k, rho=rho, clusters=clusters, home=home)

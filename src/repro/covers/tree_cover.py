@@ -13,8 +13,8 @@ one block-diagonal CSR matrix (every cluster its own relabeled block, heavy
 edges filtered out) and a single multi-source Dijkstra call — one source per
 block — grows every tree of the chunk at once.  A cluster whose restricted
 subgraph leaves some member unreachable falls back to its unrestricted
-induced subgraph, exactly like the scalar path (``REPRO_BUILD_MODE=scalar``
-keeps the original per-cluster Python-heap Dijkstra for the parity tests).
+induced subgraph: the cover property takes precedence over the small-edge
+bound, and the benches report ``max_edge`` so any such fallback is visible.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from repro.construction.context import BuildContext, scalar_build_mode
+from repro.construction.context import BuildContext
 from repro.covers.sparse_cover import SparseCover, build_sparse_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, dijkstra, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree
 from repro.utils.validation import require
 
@@ -90,57 +90,6 @@ class TreeCover:
             ball = [u for u in ball if u in allowed]
         tree = self.home_tree(v)
         return all(tree.contains(u) for u in ball)
-
-
-def _cluster_tree(graph: WeightedGraph, center: int, nodes: Sequence[int],
-                  rho: float) -> Tree:
-    """Shortest-path tree of the cluster, using only edges of weight <= 2 rho.
-
-    The scalar reference implementation (one Python-heap Dijkstra per
-    cluster); the default batched path is :func:`_cluster_trees_batched`.
-    """
-    members = sorted(set(int(v) for v in nodes))
-    if len(members) == 1:
-        return Tree.single_node(members[0])
-    member_set = set(members)
-
-    # Restricted Dijkstra inside the cluster, ignoring heavy edges.
-    import heapq
-
-    dist = {v: float("inf") for v in members}
-    parent: Dict[int, int] = {}
-    weight: Dict[int, float] = {}
-    dist[center] = 0.0
-    heap = [(0.0, center)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in graph.neighbors(u):
-            if v not in member_set or w > 2.0 * rho + 1e-12:
-                continue
-            nd = d + w
-            if nd < dist[v] - 1e-15:
-                dist[v] = nd
-                parent[v] = u
-                weight[v] = w
-                heapq.heappush(heap, (nd, v))
-
-    unreachable = [v for v in members if not np.isfinite(dist[v])]
-    if unreachable:
-        # Fall back to the unrestricted induced subgraph: correctness (the
-        # cover property) takes precedence over the small-edge bound, and the
-        # benches report max_edge so any such fallback is visible.
-        sub, mapping = graph.subgraph(members)
-        local_center = mapping.index(center)
-        d2, p2 = dijkstra(sub, local_center)
-        parent = {}
-        weight = {}
-        for local_v, par in enumerate(p2):
-            if par >= 0:
-                parent[mapping[local_v]] = mapping[int(par)]
-                weight[mapping[local_v]] = sub.edge_weight(int(par), local_v)
-    return Tree(root=center, parent=parent, edge_weight=weight)
 
 
 def _tree_from_local(members: np.ndarray, local_root: int,
@@ -218,7 +167,7 @@ def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
                                         weight_index)
             else:
                 # unreachable under the 2 rho restriction: fall back to the
-                # unrestricted induced subgraph (same rule as the scalar path)
+                # unrestricted induced subgraph
                 sub = csr[members][:, members]
                 d2, p2 = _scipy_dijkstra(sub, directed=False,
                                          indices=local_root,
@@ -265,9 +214,5 @@ def build_tree_cover(
         context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
     cover: SparseCover = build_sparse_cover(graph, k, rho, oracle=context.oracle,
                                             nodes=nodes, context=context)
-    if scalar_build_mode():
-        trees = [_cluster_tree(graph, cluster.center, sorted(cluster.nodes), rho)
-                 for cluster in cover.clusters]
-    else:
-        trees = _cluster_trees_batched(graph, cover, rho, context=context)
+    trees = _cluster_trees_batched(graph, cover, rho, context=context)
     return TreeCover(k=k, rho=rho, trees=trees, home=dict(cover.home))

@@ -30,16 +30,16 @@ statement about the scheme, not about the scenario's partition schedule.
 
 Every per-epoch statistic is mergeable and partition-independent (PR 5's
 stats layer); ``verify_determinism=True`` re-runs each epoch's traffic
-across a different shard split and with the fused kernels disabled and
-requires the official summaries to be **bit-identical** — the claim the
-E19 bench commits to.
+across a different shard split and requires the official summaries to be
+**bit-identical** — the claim the E19 bench commits to — and routes the
+epoch's first batch through both the scalar ``route()`` and the fused
+lockstep engine, requiring identical per-packet outcomes.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -53,7 +53,6 @@ from repro.dynamics.scenario import (
     ChurnScenario,
     TrafficDirective,
     make_scenario,
-    stale_delivery_rate,
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
@@ -64,6 +63,7 @@ from repro.traffic.engine import (
     TrafficReport,
     num_batches,
     run_traffic,
+    run_traffic_exact,
 )
 from repro.traffic.models import make_traffic_model
 from repro.traffic.scoring import make_scorer
@@ -415,13 +415,6 @@ class LiveSimulator:
         if self.stale_packets == 0:
             return 0
         src, dst = model.batch(0, self.stale_packets)
-        if program.is_fallback:
-            # memoized-scalar schemes have no frozen compiled snapshot; the
-            # scalar stale-delivery helper replays route() with drops on
-            # dead links — same delivery definition, per-pair
-            pairs = list(zip(src.tolist(), dst.tolist()))
-            rate = stale_delivery_rate(self.scheme, self.graph, pairs)
-            return int(round(rate * len(pairs)))
         outcome = run_lockstep(program, src, dst, materialize=False)
         delivered = stale_window_outcome(self.graph, outcome, src.size, dst)
         return int(np.count_nonzero(delivered))
@@ -454,12 +447,15 @@ class LiveSimulator:
 
     def _cross_check(self, epoch: int, model, scorer,
                      report: TrafficReport) -> None:
-        """Re-derive the epoch summary two independent ways; require identity.
+        """Re-derive the epoch two independent ways; require identity.
 
-        (a) a different shard split in plain batch mode — partition and
-        service-loop independence; (b) the legacy (non-fused) engine via
-        ``REPRO_KERNELS=0`` — kernel independence.  Scoring is pure in
-        ``(seed, batch_index)``, so the scorer can be reused.
+        (a) a different shard split in plain batch mode must give the same
+        official summary — partition and service-loop independence (scoring
+        is pure in ``(seed, batch_index)``, so the scorer can be reused);
+        (b) the epoch's first batch, routed by the scalar ``route()`` and by
+        the fused lockstep engine, must give identical per-packet found,
+        finite, hop and stretch arrays — engine independence against the
+        reference, on the repaired scheme.
         """
         official = report.summary(include_p2=False)
         other_shards = 2 if self.shards == 1 else 1
@@ -468,17 +464,12 @@ class LiveSimulator:
         require(_summaries_identical(official,
                                      resharded.summary(include_p2=False)),
                 f"epoch {epoch}: official stats changed across shard counts")
-        previous = os.environ.get("REPRO_KERNELS")
-        os.environ["REPRO_KERNELS"] = "0"
-        try:
-            legacy = self._traffic_once(model, scorer, shards=1,
-                                        processes=False, service=True)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = previous
-        require(_summaries_identical(official,
-                                     legacy.summary(include_p2=False)),
-                f"epoch {epoch}: official stats changed with fused kernels "
-                "disabled")
+        sample = min(self.batch_size, self.epoch_packets)
+        scalar, lockstep = (
+            run_traffic_exact(self.scheme, model, sample,
+                              batch_size=self.batch_size, engine=engine,
+                              oracle=self.oracle)
+            for engine in ("scalar", "lockstep"))
+        for key in ("found", "finite", "hops", "stretch"):
+            require(np.array_equal(scalar[key], lockstep[key]),
+                    f"epoch {epoch}: scalar and lockstep {key} differ")

@@ -22,25 +22,21 @@ Building blocks:
   (source, destination) request into a short list of **legs** (tree walks /
   table phases) plus result metadata.  Planning mirrors the scalar control
   flow exactly (which trees are searched, where dictionaries report misses)
-  but never walks; the lockstep engine then executes all legs with one array
-  step per hop.
-* :class:`MemoizedScalarProgram` — the generic fallback for schemes without a
-  compiled form: scalar ``route()`` results are memoized per (source,
-  destination) and replayed through the same engine as literal walks.
+  but never walks; the fused cohort kernels (:mod:`repro.routing.kernels`)
+  then execute all legs of a batch at once.
 
 Every walk a compiled plan produces decomposes into unique-tree-path legs and
 next-hop-table phases, so the engine's walks are identical — node for node —
-to the scalar engine's (asserted by ``tests/test_lockstep_engine.py`` and the
-E14 CI smoke run).  Hop caps mirror the scalar loops (``2m + 1`` steps per
-tree leg, ``n + 1`` per table phase) and are enforced as array operations, so
-a broken table loops no further under the lockstep engine than under the
-scalar one.
+to the scalar ``route()``'s, the reference implementation (asserted by
+``tests/test_lockstep_engine.py`` and the E14 CI smoke run).  Hop caps mirror
+the scalar loops (``2m + 1`` steps per tree leg, ``n + 1`` per table phase)
+and are enforced as array operations, so a broken table loops no further
+under the lockstep engine than under the scalar one.  Schemes without a
+compiled form route through the scalar engine only.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,14 +51,6 @@ from repro.utils.validation import require
 #: leg kinds understood by the lockstep engine
 LEG_TREE = 0
 LEG_TABLE = 1
-LEG_LITERAL = 2
-
-#: per-packet execution modes
-_MODE_ENTRY = 0
-_MODE_TREE = 1
-_MODE_TABLE = 2
-_MODE_LITERAL = 3
-_MODE_DONE = 4
 
 
 def tree_leg(tree_id: int, target: int, strategy: Optional[str] = None,
@@ -85,11 +73,6 @@ def table_leg(table_id: int, strategy: Optional[str] = None, phases: int = 0) ->
     return (LEG_TABLE, int(table_id), -1, strategy, int(phases), False)
 
 
-def literal_leg(hops: Sequence[int]) -> tuple:
-    """A pre-recorded walk replayed one hop per lockstep step (memoized fallback)."""
-    return (LEG_LITERAL, [int(h) for h in hops], -1, None, 0, False)
-
-
 def mark_terminal(legs: List[tuple], strategy: str, phases: int) -> None:
     """Make the last leg of ``legs`` a terminal success leg.
 
@@ -104,38 +87,29 @@ class PacketPlan:
     """The legs and result metadata of one (source, destination) request.
 
     ``final_strategy`` / ``final_phases`` apply when the packet exhausts its
-    legs without finishing on a terminal leg or a table success.  The
-    overrides are used by the memoized fallback to replay the recorded
-    ``RouteResult`` fields verbatim; compiled schemes leave them ``None`` and
-    the engine derives ``found`` from whether the walk ended at the
-    destination — the invariant every scheme in the library satisfies.
+    legs without finishing on a terminal leg or a table success.  The engine
+    derives ``found`` from whether the walk ended at the destination — the
+    invariant every scheme in the library satisfies.
     """
 
-    __slots__ = ("legs", "final_strategy", "final_phases", "notes",
-                 "found_override", "cost_override", "header_override")
+    __slots__ = ("legs", "final_strategy", "final_phases", "notes")
 
     def __init__(self, legs: List[tuple], final_strategy: Optional[str],
-                 final_phases: int, notes: Optional[dict] = None,
-                 found_override: Optional[bool] = None,
-                 cost_override: Optional[float] = None,
-                 header_override: Optional[int] = None) -> None:
+                 final_phases: int, notes: Optional[dict] = None) -> None:
         self.legs = legs
         self.final_strategy = final_strategy
         self.final_phases = int(final_phases)
         self.notes = notes
-        self.found_override = found_override
-        self.cost_override = cost_override
-        self.header_override = header_override
 
 
 class TreeBank:
     """All trees of one scheme as flat structure-of-arrays slot tables.
 
     Slots are assigned as ``offset(tree) + dfs_in(node)``, so a tree node's
-    slot doubles as its interval-routing label.  The two queries the engine
-    needs — "which slot does graph node ``v`` occupy in tree ``t``" and "what
-    is the next slot on the unique tree path toward slot ``g``" — are one
-    ``searchsorted`` each over the whole packet batch.
+    slot doubles as its interval-routing label.  Entry resolution — "which
+    slot does graph node ``v`` occupy in tree ``t``" — is one
+    ``searchsorted`` (or one dense gather) over the whole packet batch; the
+    fused tree kernel walks the parent and child-key arrays.
     """
 
     #: memory budget for the dense ``(tree, node) -> slot`` membership
@@ -297,43 +271,6 @@ class TreeBank:
     def slot_of(self, tree_id: int, node: int) -> int:
         """Scalar convenience wrapper of :meth:`slots_of`."""
         return int(self.slots_of(np.asarray([tree_id]), np.asarray([node]))[0])
-
-    def step_toward(self, cur_slot: np.ndarray, tgt_slot: np.ndarray,
-                    off: np.ndarray) -> np.ndarray:
-        """Next slot on the unique tree path from ``cur_slot`` toward ``tgt_slot``.
-
-        ``off`` is the tree offset of each packet's current tree; all three
-        arrays are parallel.  Moving up is a parent gather; moving down finds
-        the child whose DFS interval contains the target with one
-        ``searchsorted`` over the concatenated child-key array.
-        """
-        cur_local = cur_slot - off
-        tgt_local = tgt_slot - off
-        down = (cur_local <= tgt_local) & (tgt_local <= self.dfs_out[cur_slot])
-        nxt = np.empty_like(cur_slot)
-        up = ~down
-        if up.any():
-            parents = self.parent_slot[cur_slot[up]]
-            if (parents < 0).any():
-                raise RuntimeError(
-                    "lockstep tree walk stepped above a root: target label is "
-                    "outside the packet's current tree")
-            nxt[up] = parents
-        if down.any():
-            cur_down = cur_slot[down]
-            keys = cur_down * self._stride + tgt_local[down]
-            pos = np.searchsorted(self._child_keys, keys, side="right") - 1
-            pos_c = np.maximum(pos, 0)
-            child = self._child_slots[pos_c]
-            ok = ((pos >= 0)
-                  & (self._child_keys[pos_c] // self._stride == cur_down)
-                  & (tgt_local[down] <= self.dfs_out[child]))
-            if not ok.all():
-                raise RuntimeError(
-                    "inconsistent DFS intervals in the compiled tree bank: "
-                    "target inside a node's interval but no child matches")
-            nxt[down] = child
-        return nxt
 
 
 class NextHopTable:
@@ -701,9 +638,6 @@ class ForwardingProgram:
     the hops.
     """
 
-    #: True for the memoized scalar fallback (``engine="auto"`` then prefers scalar)
-    is_fallback = False
-
     def __init__(self, graph: WeightedGraph,
                  planner: Callable[[int, int], PacketPlan],
                  bank: Optional[TreeBank] = None,
@@ -753,42 +687,6 @@ class ForwardingProgram:
         }
 
 
-class MemoizedScalarProgram(ForwardingProgram):
-    """Generic fallback: memoize scalar routes per (source, destination).
-
-    Schemes without a compiled form still run under ``engine="lockstep"``:
-    the first request for a pair calls the scalar ``route()`` once, every
-    replay (including repeats within a batch) is an array-driven literal walk.
-    """
-
-    is_fallback = True
-
-    def __init__(self, scheme) -> None:
-        self._scheme = scheme
-        self._cache: Dict[Tuple[int, int], RouteResult] = {}
-        super().__init__(scheme.graph, self._plan, header_bits=0,
-                         label=f"memoized:{scheme.scheme_name}")
-
-    def _plan(self, source: int, destination: int) -> PacketPlan:
-        key = (source, destination)
-        result = self._cache.get(key)
-        if result is None:
-            result = self._scheme.route(source, self.graph.name_at(destination))
-            self._cache[key] = result
-        require(result.path and result.path[0] == source,
-                f"scalar route for pair {key} does not start at its source; "
-                "cannot replay it through the lockstep engine")
-        hops = result.path[1:]
-        legs = [literal_leg(hops)] if hops else []
-        return PacketPlan(
-            legs, result.strategy, result.phases_used,
-            notes=dict(result.notes) if result.notes else None,
-            found_override=result.found,
-            cost_override=result.cost,
-            header_override=result.max_header_bits,
-        )
-
-
 @dataclass
 class LockstepOutcome:
     """Everything the simulator needs from one lockstep run.
@@ -805,7 +703,6 @@ class LockstepOutcome:
     hop_index: np.ndarray      # packet id per hop
     hop_heads: np.ndarray
     hop_tails: np.ndarray
-    cost_override: np.ndarray  # NaN where the verified cost applies
     found: np.ndarray
     final_nodes: np.ndarray
     phases: np.ndarray
@@ -818,31 +715,27 @@ class LockstepOutcome:
 def run_lockstep(program: ForwardingProgram, sources: Sequence[int],
                  destinations: Sequence[int],
                  materialize: bool = True,
-                 kernels: Optional[bool] = None,
                  timings: Optional[Dict[str, float]] = None) -> LockstepOutcome:
     """Advance a whole batch of packets over the compiled tables.
 
-    By default the batch runs through the **fused cohort kernels**
-    (:mod:`repro.routing.kernels`): packets are bucketed by leg kind and each
-    cohort advances to leg completion per kernel call, with vectorized batch
-    planning for schemes that provide one.  ``kernels=False`` (or the env
-    kill-switch ``REPRO_KERNELS=0``) selects the legacy one-hop-per-step
-    engine below; both produce bit-identical walks, hop records and outcome
-    metadata (asserted by ``tests/test_lockstep_engine.py``).
+    The batch runs through the fused cohort kernels
+    (:func:`repro.routing.kernels.run_fused`): packets are bucketed by leg
+    kind and each cohort advances to leg completion per kernel call, with
+    vectorized batch planning for schemes that provide one.  Walks, hop
+    records and outcome metadata equal the scalar ``route()``'s (asserted by
+    ``tests/test_lockstep_engine.py``).
 
     Hop caps mirror the scalar loops (``2m + 1`` per tree leg, ``n + 1`` per
-    table phase) under either engine.  With ``materialize=False`` the
-    per-packet ``RouteResult`` objects (Python path lists) are skipped and
-    only the outcome arrays are returned — the batch-evaluation fast path.
-    ``timings``, when given, accumulates wall seconds under ``"plan"`` and
-    ``"step"``.
+    table phase).  With ``materialize=False`` the per-packet ``RouteResult``
+    objects (Python path lists) are skipped and only the outcome arrays are
+    returned — the batch-evaluation fast path.  ``timings``, when given,
+    accumulates wall seconds under ``"plan"`` and ``"step"``.
     """
-    graph = program.graph
-    bank = program.bank
-    n = graph.n
+    from repro.routing.kernels import run_fused
+
     # array-native inputs pass through without a Python-list round trip —
     # traffic batches arrive as ndarrays tens of thousands of packets long;
-    # other sequences (lists, tuples, generators) are materialized as before
+    # other sequences (lists, tuples, generators) are materialized first
     if not isinstance(sources, np.ndarray):
         sources = list(sources)
     if not isinstance(destinations, np.ndarray):
@@ -850,286 +743,5 @@ def run_lockstep(program: ForwardingProgram, sources: Sequence[int],
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     dst = np.atleast_1d(np.asarray(destinations, dtype=np.int64))
     require(src.shape == dst.shape, "sources and destinations must have equal length")
-    if kernels is None:
-        kernels = os.environ.get("REPRO_KERNELS", "1") != "0"
-    if kernels:
-        from repro.routing.kernels import run_fused
-
-        return run_fused(program, src, dst, materialize=materialize,
-                         timings=timings)
-    t_plan = time.perf_counter() if timings is not None else 0.0
-    num = int(src.size)
-    plans = [program.plan(u, v) for u, v in zip(src.tolist(), dst.tolist())]
-
-    # ---------------------------------------------------------------- #
-    # flatten the per-packet plans into leg arrays
-    # ---------------------------------------------------------------- #
-    strategy_code: Dict[str, int] = {}
-    strategy_names: List[str] = []
-
-    def code_of(strategy: Optional[str]) -> int:
-        if strategy is None:
-            return -1
-        found = strategy_code.get(strategy)
-        if found is None:
-            found = len(strategy_names)
-            strategy_code[strategy] = found
-            strategy_names.append(strategy)
-        return found
-
-    leg_kind_l: List[int] = []
-    leg_a_l: List[int] = []       # tree id / table id / literal lo
-    leg_b_l: List[int] = []       # target slot / -1 / literal hi
-    leg_strategy_l: List[int] = []
-    leg_phases_l: List[int] = []
-    leg_terminal_l: List[bool] = []
-    literal_nodes_l: List[int] = []
-    tree_positions: List[int] = []
-    tree_ids_l: List[int] = []
-    tree_targets_l: List[int] = []
-
-    leg_lo = np.zeros(num, dtype=np.int64)
-    leg_hi = np.zeros(num, dtype=np.int64)
-    out_strategy = np.full(num, -1, dtype=np.int64)
-    out_phases = np.zeros(num, dtype=np.int64)
-    found_override = np.full(num, -1, dtype=np.int8)
-    cost_override = np.full(num, np.nan)
-    header_bits = np.full(num, program.header_bits, dtype=np.int64)
-    notes_of: List[Optional[dict]] = [None] * num
-
-    for p, plan in enumerate(plans):
-        leg_lo[p] = len(leg_kind_l)
-        for kind, a, b, strategy, phases, terminal in plan.legs:
-            position = len(leg_kind_l)
-            leg_kind_l.append(kind)
-            if kind == LEG_TREE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)   # patched to the target slot below
-                tree_positions.append(position)
-                tree_ids_l.append(a)
-                tree_targets_l.append(b)
-            elif kind == LEG_TABLE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)
-            else:  # LEG_LITERAL: ``a`` is the hop list
-                leg_a_l.append(len(literal_nodes_l))
-                literal_nodes_l.extend(a)
-                leg_b_l.append(len(literal_nodes_l))
-            leg_strategy_l.append(code_of(strategy))
-            leg_phases_l.append(phases)
-            leg_terminal_l.append(terminal)
-        leg_hi[p] = len(leg_kind_l)
-        out_strategy[p] = code_of(plan.final_strategy)
-        out_phases[p] = plan.final_phases
-        if plan.found_override is not None:
-            found_override[p] = int(bool(plan.found_override))
-        if plan.cost_override is not None:
-            cost_override[p] = float(plan.cost_override)
-        if plan.header_override is not None:
-            header_bits[p] = int(plan.header_override)
-        notes_of[p] = plan.notes
-
-    leg_kind = np.asarray(leg_kind_l, dtype=np.int8)
-    leg_a = np.asarray(leg_a_l, dtype=np.int64)
-    leg_b = np.asarray(leg_b_l, dtype=np.int64)
-    leg_strategy = np.asarray(leg_strategy_l, dtype=np.int64)
-    leg_phases = np.asarray(leg_phases_l, dtype=np.int64)
-    leg_terminal = np.asarray(leg_terminal_l, dtype=bool)
-    literal_nodes = np.asarray(literal_nodes_l, dtype=np.int64)
-
-    if tree_positions:
-        slots = bank.slots_of(np.asarray(tree_ids_l, dtype=np.int64),
-                              np.asarray(tree_targets_l, dtype=np.int64))
-        if (slots < 0).any():
-            raise RuntimeError(
-                "compiled plan targets a node outside its tree (planner bug)")
-        leg_b[np.asarray(tree_positions, dtype=np.int64)] = slots
-
-    # ---------------------------------------------------------------- #
-    # lockstep execution
-    # ---------------------------------------------------------------- #
-    if timings is not None:
-        t_step = time.perf_counter()
-        timings["plan"] = timings.get("plan", 0.0) + (t_step - t_plan)
-    # per-batch table views: composite keys / row views staged once, not per step
-    table_views = [table.batch_view(dst) for table in program.tables]
-    mode = np.zeros(num, dtype=np.int8)            # everyone starts at ENTRY
-    leg_ptr = leg_lo.copy()
-    node = src.copy()
-    cur_slot = np.zeros(num, dtype=np.int64)
-    tgt_slot = np.zeros(num, dtype=np.int64)
-    tree_off = np.zeros(num, dtype=np.int64)
-    budget = np.zeros(num, dtype=np.int64)
-    table_of = np.zeros(num, dtype=np.int64)
-    lit_pos = np.zeros(num, dtype=np.int64)
-    lit_end = np.zeros(num, dtype=np.int64)
-
-    hop_idx_parts: List[np.ndarray] = []
-    hop_head_parts: List[np.ndarray] = []
-    hop_tail_parts: List[np.ndarray] = []
-
-    def record(idx: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
-        hop_idx_parts.append(idx)
-        hop_head_parts.append(heads)
-        hop_tail_parts.append(tails)
-
-    def finalize_with_leg(idx: np.ndarray, legs: np.ndarray) -> None:
-        out_strategy[idx] = leg_strategy[legs]
-        out_phases[idx] = leg_phases[legs]
-        mode[idx] = _MODE_DONE
-
-    def complete_leg(idx: np.ndarray) -> None:
-        """A leg just reached its target: finalize if terminal, else advance."""
-        if idx.size == 0:
-            return
-        legs = leg_ptr[idx]
-        terminal = leg_terminal[legs]
-        finalize_with_leg(idx[terminal], legs[terminal])
-        advancing = idx[~terminal]
-        leg_ptr[advancing] += 1
-        mode[advancing] = _MODE_ENTRY
-
-    def resolve_entries() -> None:
-        """Move ENTRY packets into their next leg (or finalize on exhaustion)."""
-        while True:
-            idx = np.flatnonzero(mode == _MODE_ENTRY)
-            if idx.size == 0:
-                return
-            exhausted = leg_ptr[idx] >= leg_hi[idx]
-            mode[idx[exhausted]] = _MODE_DONE  # final metadata already staged
-            idx = idx[~exhausted]
-            if idx.size == 0:
-                continue
-            legs = leg_ptr[idx]
-            kinds = leg_kind[legs]
-
-            tree_sel = kinds == LEG_TREE
-            if tree_sel.any():
-                t_idx = idx[tree_sel]
-                t_leg = legs[tree_sel]
-                slots = bank.slots_of(leg_a[t_leg], node[t_idx])
-                miss = slots < 0
-                leg_ptr[t_idx[miss]] += 1         # current node outside tree: skip
-                t_idx, t_leg, slots = t_idx[~miss], t_leg[~miss], slots[~miss]
-                targets = leg_b[t_leg]
-                arrived = slots == targets
-                complete_leg(t_idx[arrived])
-                going = ~arrived
-                g_idx, g_leg = t_idx[going], t_leg[going]
-                mode[g_idx] = _MODE_TREE
-                cur_slot[g_idx] = slots[going]
-                tgt_slot[g_idx] = targets[going]
-                trees = leg_a[g_leg]
-                tree_off[g_idx] = bank.offsets[trees]
-                budget[g_idx] = 2 * bank.sizes[trees] + 1
-
-            table_sel = kinds == LEG_TABLE
-            if table_sel.any():
-                b_idx = idx[table_sel]
-                mode[b_idx] = _MODE_TABLE
-                table_of[b_idx] = leg_a[legs[table_sel]]
-                budget[b_idx] = n + 1
-
-            literal_sel = kinds == LEG_LITERAL
-            if literal_sel.any():
-                l_idx = idx[literal_sel]
-                l_leg = legs[literal_sel]
-                empty = leg_a[l_leg] == leg_b[l_leg]
-                complete_leg(l_idx[empty])
-                l_idx, l_leg = l_idx[~empty], l_leg[~empty]
-                mode[l_idx] = _MODE_LITERAL
-                lit_pos[l_idx] = leg_a[l_leg]
-                lit_end[l_idx] = leg_b[l_leg]
-
-    while True:
-        resolve_entries()
-        if not (mode != _MODE_DONE).any():
-            break
-
-        walking = np.flatnonzero(mode == _MODE_TREE)
-        if walking.size:
-            nxt = bank.step_toward(cur_slot[walking], tgt_slot[walking],
-                                   tree_off[walking])
-            tails = bank.node_of_slot[nxt]
-            record(walking, node[walking].copy(), tails)
-            node[walking] = tails
-            cur_slot[walking] = nxt
-            budget[walking] -= 1
-            if (budget[walking] < 0).any():
-                raise RuntimeError("lockstep tree walk did not terminate")
-            complete_leg(walking[nxt == tgt_slot[walking]])
-
-        tabling = np.flatnonzero(mode == _MODE_TABLE)
-        if tabling.size:
-            capped = budget[tabling] <= 0
-            over = tabling[capped]
-            leg_ptr[over] += 1                    # hop cap: same as the scalar loop end
-            mode[over] = _MODE_ENTRY
-            tabling = tabling[~capped]
-            for table_id in np.unique(table_of[tabling]) if tabling.size else ():
-                sel = tabling[table_of[tabling] == table_id]
-                nxt = table_views[int(table_id)].lookup(node[sel], dst[sel])
-                miss = nxt < 0
-                missed = sel[miss]
-                leg_ptr[missed] += 1
-                mode[missed] = _MODE_ENTRY
-                moving, hops = sel[~miss], nxt[~miss]
-                if moving.size:
-                    record(moving, node[moving].copy(), hops)
-                    node[moving] = hops
-                    budget[moving] -= 1
-                    reached = moving[node[moving] == dst[moving]]
-                    finalize_with_leg(reached, leg_ptr[reached])
-
-        replaying = np.flatnonzero(mode == _MODE_LITERAL)
-        if replaying.size:
-            tails = literal_nodes[lit_pos[replaying]]
-            record(replaying, node[replaying].copy(), tails)
-            node[replaying] = tails
-            lit_pos[replaying] += 1
-            complete_leg(replaying[lit_pos[replaying] >= lit_end[replaying]])
-
-    # ---------------------------------------------------------------- #
-    # assemble results (packet-major, chronological hop order)
-    # ---------------------------------------------------------------- #
-    if hop_idx_parts:
-        all_idx = np.concatenate(hop_idx_parts)
-        all_heads = np.concatenate(hop_head_parts)
-        all_tails = np.concatenate(hop_tail_parts)
-        order = np.argsort(all_idx, kind="stable")
-        hop_index = all_idx[order]
-        hop_heads = all_heads[order]
-        hop_tails = all_tails[order]
-    else:
-        hop_index = np.zeros(0, dtype=np.int64)
-        hop_heads = np.zeros(0, dtype=np.int64)
-        hop_tails = np.zeros(0, dtype=np.int64)
-
-    found = np.where(found_override >= 0, found_override.astype(bool), node == dst)
-
-    results: Optional[List[RouteResult]] = None
-    if materialize:
-        counts = np.bincount(hop_index, minlength=num) if num \
-            else np.zeros(0, dtype=np.int64)
-        groups = np.split(hop_tails, np.cumsum(counts)[:-1]) if num else []
-        results = []
-        for p in range(num):
-            path = [int(src[p])] + groups[p].tolist()
-            result = RouteResult(
-                found=bool(found[p]),
-                path=path,
-                cost=0.0,
-                phases_used=int(out_phases[p]),
-                strategy=strategy_names[out_strategy[p]] if out_strategy[p] >= 0 else "",
-                max_header_bits=int(header_bits[p]),
-            )
-            if notes_of[p]:
-                result.notes = dict(notes_of[p])
-            results.append(result)
-    if timings is not None:
-        timings["step"] = timings.get("step", 0.0) + (time.perf_counter() - t_step)
-    return LockstepOutcome(
-        results=results, hop_index=hop_index, hop_heads=hop_heads,
-        hop_tails=hop_tails, cost_override=cost_override, found=found,
-        final_nodes=node, phases=out_phases, strategy_codes=out_strategy,
-        strategy_names=strategy_names, header_bits=header_bits, notes=notes_of)
+    return run_fused(program, src, dst, materialize=materialize,
+                     timings=timings)

@@ -1,13 +1,12 @@
 """Fused per-program hop kernels for the lockstep forwarding engine.
 
-The original ``run_lockstep`` loop advances *all* packets one generic "leg
-step" per Python iteration: every iteration re-classifies every live packet
-by mode, re-selects per-table subsets and pays the full dispatch overhead
-even when a packet has dozens of identical table hops ahead of it.  This
-module restructures that hot path around **cohorts**: packets are grouped by
-the *kind* of leg they are about to execute (tree walk / table phase /
-literal replay) and each cohort is driven to **leg completion** in one fused
-kernel call —
+A one-hop-per-iteration loop would advance *all* packets one generic "leg
+step" per Python iteration, re-classifying every live packet by mode and
+paying the full dispatch overhead even when a packet has dozens of
+identical table hops ahead of it.  This module organises the hot path
+around **cohorts** instead: packets are grouped by the *kind* of leg they
+are about to execute (tree walk / table phase) and each cohort is driven to
+**leg completion** in one fused kernel call —
 
 * tree cohorts walk DFS-interval slots with batched ``searchsorted`` until
   every member reaches its leg target (members leave the cohort as they
@@ -16,17 +15,16 @@ kernel call —
   :class:`~repro.routing.forwarding.NextHopTable` /
   :class:`~repro.routing.forwarding.DenseNextHopTable` **batch view** (the
   composite search keys / row views are materialized once per batch, not
-  once per step);
-* literal cohorts replay their recorded walks with a single ``repeat`` /
-  gather — no per-hop loop at all.
+  once per step).
 
 Leg transitions happen by re-bucketing the advancing packets into the next
 round's cohorts instead of per-packet mode branching.  The walks produced
-are **bit-identical** to the legacy engine's: hop caps (``2m + 1`` per tree
-leg, ``n + 1`` per table phase), miss/skip semantics and the final
-packet-major chronological hop order are all preserved (each packet's legs
-execute in strictly increasing rounds, so the closing stable argsort yields
-exactly the legacy order).
+are **identical** to the scalar ``route()``'s, hop for hop: hop caps
+(``2m + 1`` per tree leg, ``n + 1`` per table phase) and miss/skip
+semantics follow the scalar loops, and the hop records come out
+packet-major and chronological within each packet (each packet's legs
+execute in strictly increasing rounds, so the closing stable argsort
+yields the walk order).
 
 ``REPRO_JIT=1`` additionally routes the two innermost kernels (tree-slot
 walks and dense-table runs) through numba when it is importable; the numpy
@@ -214,9 +212,9 @@ def _table_runs_py(flat, n, start_nodes, dests, budget0):  # pragma: no cover - 
 class BatchPlans:
     """The flattened plans of one packet batch in structure-of-arrays form.
 
-    Exactly the arrays the legacy engine built inline from a list of
-    :class:`~repro.routing.forwarding.PacketPlan` objects, factored out so a
-    scheme can supply them **vectorized** (a ``batch_planner``) without ever
+    The arrays :func:`flatten_plans` builds from a list of
+    :class:`~repro.routing.forwarding.PacketPlan` objects, which a scheme
+    can instead supply **vectorized** (a ``batch_planner``) without ever
     instantiating per-packet plan objects.  The executor takes ownership of
     the arrays (it mutates ``out_strategy`` / ``out_phases`` in place), so
     planners must build fresh arrays per batch.
@@ -224,8 +222,7 @@ class BatchPlans:
 
     __slots__ = ("num", "leg_kind", "leg_a", "leg_b", "leg_strategy",
                  "leg_phases", "leg_terminal", "leg_lo", "leg_hi",
-                 "literal_nodes", "out_strategy", "out_phases",
-                 "found_override", "cost_override", "header_bits",
+                 "out_strategy", "out_phases", "header_bits",
                  "notes_of", "strategy_names")
 
     def __init__(self, num: int, leg_kind: np.ndarray, leg_a: np.ndarray,
@@ -234,9 +231,6 @@ class BatchPlans:
                  leg_lo: np.ndarray, leg_hi: np.ndarray,
                  out_strategy: np.ndarray, out_phases: np.ndarray,
                  strategy_names: List[str],
-                 literal_nodes: Optional[np.ndarray] = None,
-                 found_override: Optional[np.ndarray] = None,
-                 cost_override: Optional[np.ndarray] = None,
                  header_bits: Optional[np.ndarray] = None,
                  notes_of: Optional[List[Optional[dict]]] = None) -> None:
         self.num = int(num)
@@ -248,13 +242,8 @@ class BatchPlans:
         self.leg_terminal = leg_terminal
         self.leg_lo = leg_lo
         self.leg_hi = leg_hi
-        self.literal_nodes = literal_nodes if literal_nodes is not None else _EMPTY_I64
         self.out_strategy = out_strategy
         self.out_phases = out_phases
-        self.found_override = found_override if found_override is not None \
-            else np.full(self.num, -1, dtype=np.int8)
-        self.cost_override = cost_override if cost_override is not None \
-            else np.full(self.num, np.nan)
         self.header_bits = header_bits if header_bits is not None \
             else np.zeros(self.num, dtype=np.int64)
         self.notes_of = notes_of if notes_of is not None else [None] * self.num
@@ -264,11 +253,10 @@ class BatchPlans:
 def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
     """Flatten per-packet ``program.plan()`` calls into a :class:`BatchPlans`.
 
-    The generic path for schemes without a vectorized batch planner — the
-    exact flattening loop the legacy engine ran inline, including the
-    tree-target slot patching via ``bank.slots_of``.
+    The generic path for schemes without a vectorized batch planner,
+    including the tree-target slot patching via ``bank.slots_of``.
     """
-    from repro.routing.forwarding import LEG_LITERAL, LEG_TABLE, LEG_TREE
+    from repro.routing.forwarding import LEG_TREE
 
     bank = program.bank
     num = int(src.size)
@@ -288,12 +276,11 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
         return found
 
     leg_kind_l: List[int] = []
-    leg_a_l: List[int] = []       # tree id / table id / literal lo
-    leg_b_l: List[int] = []       # target slot / -1 / literal hi
+    leg_a_l: List[int] = []       # tree id / table id
+    leg_b_l: List[int] = []       # target slot (patched below) / -1
     leg_strategy_l: List[int] = []
     leg_phases_l: List[int] = []
     leg_terminal_l: List[bool] = []
-    literal_nodes_l: List[int] = []
     tree_positions: List[int] = []
     tree_ids_l: List[int] = []
     tree_targets_l: List[int] = []
@@ -302,8 +289,6 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
     leg_hi = np.zeros(num, dtype=np.int64)
     out_strategy = np.full(num, -1, dtype=np.int64)
     out_phases = np.zeros(num, dtype=np.int64)
-    found_override = np.full(num, -1, dtype=np.int8)
-    cost_override = np.full(num, np.nan)
     header_bits = np.full(num, program.header_bits, dtype=np.int64)
     notes_of: List[Optional[dict]] = [None] * num
 
@@ -312,31 +297,18 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
         for kind, a, b, strategy, phases, terminal in plan.legs:
             position = len(leg_kind_l)
             leg_kind_l.append(kind)
+            leg_a_l.append(a)
+            leg_b_l.append(-1)
             if kind == LEG_TREE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)   # patched to the target slot below
                 tree_positions.append(position)
                 tree_ids_l.append(a)
                 tree_targets_l.append(b)
-            elif kind == LEG_TABLE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)
-            else:  # LEG_LITERAL: ``a`` is the hop list
-                leg_a_l.append(len(literal_nodes_l))
-                literal_nodes_l.extend(a)
-                leg_b_l.append(len(literal_nodes_l))
             leg_strategy_l.append(code_of(strategy))
             leg_phases_l.append(phases)
             leg_terminal_l.append(terminal)
         leg_hi[p] = len(leg_kind_l)
         out_strategy[p] = code_of(plan.final_strategy)
         out_phases[p] = plan.final_phases
-        if plan.found_override is not None:
-            found_override[p] = int(bool(plan.found_override))
-        if plan.cost_override is not None:
-            cost_override[p] = float(plan.cost_override)
-        if plan.header_override is not None:
-            header_bits[p] = int(plan.header_override)
         notes_of[p] = plan.notes
 
     leg_b = np.asarray(leg_b_l, dtype=np.int64)
@@ -359,8 +331,6 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
         leg_lo=leg_lo, leg_hi=leg_hi,
         out_strategy=out_strategy, out_phases=out_phases,
         strategy_names=strategy_names,
-        literal_nodes=np.asarray(literal_nodes_l, dtype=np.int64),
-        found_override=found_override, cost_override=cost_override,
         header_bits=header_bits, notes_of=notes_of)
 
 
@@ -374,8 +344,8 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
     hits and misses were peeled off during entry resolution).  The unique
     tree path climbs from the entry slot to the LCA with the target and
     then descends the target's root path, and the two phases have very
-    different costs: ascending is a parent-pointer gather, while the legacy
-    engine resolved every descent hop with a ``searchsorted`` over the
+    different costs: ascending is a parent-pointer gather, while resolving a
+    descent hop one step at a time costs a ``searchsorted`` over the
     bank-wide child-key array.  The kernel therefore splits them.  Ascents
     run as vectorized parent gathers until each packet's slot interval
     first contains its target.  Descents are served from per-target
@@ -386,8 +356,8 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
     position at once, and the remaining hops are a flat suffix gather.
     The bank's arrays are only ever written by ``freeze()`` and repairs
     recompile the whole program, so a cached path can never go stale.  Hop
-    caps mirror the legacy engine: a walk longer than its ``2m + 1`` budget
-    raises.
+    caps mirror the scalar tree walk: a walk longer than its ``2m + 1``
+    budget raises.
     """
     if idx.size == 0:
         return idx
@@ -497,7 +467,7 @@ def _run_table_cohort(view, idx, node, dst, n, record):
     destination (finalize with the current leg's metadata) and packets that
     missed or hit the ``n + 1`` hop cap (advance to their next leg).  The
     per-step order of operations — cap check first, then lookup, then the
-    reached check — matches the legacy engine exactly.
+    reached check — matches the scalar table walk exactly.
     """
     budget = np.full(idx.size, n + 1, dtype=np.int64)
     nodes = node[idx]
@@ -545,26 +515,6 @@ def _run_table_cohort(view, idx, node, dst, n, record):
     return np.concatenate(finalized), np.concatenate(advanced)
 
 
-def _run_literal_cohort(idx, lo, hi, literal_nodes, node, record) -> None:
-    """Replay literal walks with one ``repeat``/gather (no per-hop loop).
-
-    All members have non-empty ranges (empties complete during entry
-    resolution).  Heads are the previous tails shifted by one within each
-    segment, seeded with the packet's current node.
-    """
-    counts = hi - lo
-    total = int(counts.sum())
-    rep_idx = np.repeat(idx, counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    tails = literal_nodes[np.repeat(lo, counts) + offsets]
-    heads = np.empty(total, dtype=np.int64)
-    heads[1:] = tails[:-1]
-    heads[starts] = node[idx]
-    record(rep_idx, heads, tails)
-    node[idx] = literal_nodes[hi - 1]
-
-
 # --------------------------------------------------------------------- #
 # the fused executor
 # --------------------------------------------------------------------- #
@@ -572,16 +522,16 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
               materialize: bool = True, timings: Optional[Dict[str, float]] = None):
     """Execute a batch through the fused cohort kernels.
 
-    Drop-in replacement for the legacy ``run_lockstep`` execution loop:
-    identical walks, hop records, metadata and
-    :class:`~repro.routing.forwarding.LockstepOutcome` layout.  ``timings``,
+    The execution loop behind
+    :func:`~repro.routing.forwarding.run_lockstep`: walks, hop records and
+    metadata equal the scalar ``route()``'s, returned as a
+    :class:`~repro.routing.forwarding.LockstepOutcome`.  ``timings``,
     when given, accumulates wall seconds under ``"plan"`` (batch planning /
     flattening) and ``"step"`` (kernel execution + assembly).
     """
     import time
 
-    from repro.routing.forwarding import (LEG_LITERAL, LEG_TABLE, LEG_TREE,
-                                          LockstepOutcome)
+    from repro.routing.forwarding import LEG_TABLE, LEG_TREE, LockstepOutcome
 
     t0 = time.perf_counter() if timings is not None else 0.0
     planner = getattr(program, "batch_planner", None)
@@ -627,7 +577,6 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
         #    cohorts (skips, instant completions and exhaustion loop here) --
         tree_parts: List[tuple] = []
         table_parts: Dict[int, List[np.ndarray]] = {}
-        lit_parts: List[tuple] = []
         while pending.size:
             live = pending[leg_ptr[pending] < bp.leg_hi[pending]]
             if live.size == 0:
@@ -666,17 +615,6 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
                 for tid in np.unique(tids):
                     table_parts.setdefault(int(tid), []).append(b_idx[tids == tid])
 
-            literal_sel = kinds == LEG_LITERAL
-            if literal_sel.any():
-                l_idx, l_leg = live[literal_sel], legs[literal_sel]
-                empty = bp.leg_a[l_leg] == bp.leg_b[l_leg]
-                if empty.any():
-                    next_pending.append(complete_leg(l_idx[empty]))
-                keep = ~empty
-                l_idx, l_leg = l_idx[keep], l_leg[keep]
-                if l_idx.size:
-                    lit_parts.append((l_idx, bp.leg_a[l_leg], bp.leg_b[l_leg]))
-
             pending = np.concatenate(next_pending) if next_pending else _EMPTY_I64
 
         # -- run each cohort to leg completion, re-bucket the advancers --
@@ -697,10 +635,6 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
                 out_phases[finalized] = bp.leg_phases[legs]
             leg_ptr[advanced] += 1
             advancing.append(advanced)
-        if lit_parts:
-            idx, lo, hi = (np.concatenate(parts) for parts in zip(*lit_parts))
-            _run_literal_cohort(idx, lo, hi, bp.literal_nodes, node, record)
-            advancing.append(complete_leg(idx))
         pending = np.concatenate(advancing) if advancing else _EMPTY_I64
 
     # -- assemble (packet-major, chronological hop order) -- #
@@ -717,8 +651,7 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
         hop_heads = _EMPTY_I64
         hop_tails = _EMPTY_I64
 
-    found = np.where(bp.found_override >= 0,
-                     bp.found_override.astype(bool), node == dst)
+    found = node == dst
 
     results: Optional[List[RouteResult]] = None
     if materialize:
@@ -742,7 +675,7 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
             results.append(result)
     outcome = LockstepOutcome(
         results=results, hop_index=hop_index, hop_heads=hop_heads,
-        hop_tails=hop_tails, cost_override=bp.cost_override, found=found,
+        hop_tails=hop_tails, found=found,
         final_nodes=node, phases=out_phases, strategy_codes=out_strategy,
         strategy_names=bp.strategy_names, header_bits=bp.header_bits,
         notes=bp.notes_of)

@@ -58,25 +58,18 @@ class RoutingSchemeInstance(abc.ABC):
         :class:`repro.routing.forwarding.ForwardingProgram`; the lockstep
         batch engine then advances whole packet batches with array gathers
         while producing walks identical to :meth:`route`.  The default
-        returns ``None``, which makes the simulator fall back to the
-        memoizing scalar replay program.
+        returns ``None``: such a scheme routes through the scalar engine only.
         """
         return None
 
-    def compiled_forwarding(self) -> "ForwardingProgram":
+    def compiled_forwarding(self) -> Optional["ForwardingProgram"]:
         """The compiled forwarding program, built once and cached.
 
-        Falls back to :class:`repro.routing.forwarding.MemoizedScalarProgram`
-        (scalar routes memoized per pair and replayed in lockstep) when
-        :meth:`compile_forwarding` returns ``None``.
+        ``None`` when :meth:`compile_forwarding` returns ``None``.
         """
         program = getattr(self, "_compiled_program", None)
         if program is None:
             program = self.compile_forwarding()
-            if program is None:
-                from repro.routing.forwarding import MemoizedScalarProgram
-
-                program = MemoizedScalarProgram(self)
             self._compiled_program = program
         return program
 

@@ -114,16 +114,21 @@ def verify_lockstep_walks(graph: WeightedGraph, outcome, num_packets: int,
 def resolve_engine_spec(scheme: RoutingSchemeInstance, engine: str) -> str:
     """Turn an engine spec into ``"scalar"`` or ``"lockstep"``.
 
-    ``"auto"`` picks the lockstep engine when the scheme has a real compiled
-    program and the scalar engine when only the memoized fallback is
-    available (replaying scalar routes buys nothing then).  Shared by the
-    simulator and the traffic engine so both layers resolve a spec the same
-    way.
+    ``"auto"`` picks the lockstep engine when the scheme has a compiled
+    program and the scalar engine otherwise; ``"lockstep"`` on a scheme
+    without one is an error.  Shared by the simulator and the traffic engine
+    so both layers resolve a spec the same way.
     """
     require(engine in ENGINE_NAMES,
             f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
+    if engine == "scalar":
+        return engine
+    compiled = scheme.compiled_forwarding() is not None
     if engine == "auto":
-        return "scalar" if scheme.compiled_forwarding().is_fallback else "lockstep"
+        return "lockstep" if compiled else "scalar"
+    require(compiled,
+            f"scheme {scheme.scheme_name!r} has no compiled forwarding "
+            "program; use engine='scalar' or 'auto'")
     return engine
 
 
@@ -366,12 +371,10 @@ class RoutingSimulator:
         return verify_lockstep_walks(self.graph, outcome, num_pairs, destinations)
 
     @staticmethod
-    def _apply_costs(results: List[RouteResult], costs: np.ndarray,
-                     cost_override: np.ndarray) -> None:
-        """Fill verified costs into materialized results (overrides win)."""
-        replayed = ~np.isnan(cost_override)
-        for i, result in enumerate(results):
-            result.cost = float(cost_override[i]) if replayed[i] else float(costs[i])
+    def _apply_costs(results: List[RouteResult], costs: np.ndarray) -> None:
+        """Fill verified costs into materialized results."""
+        for result, cost in zip(results, costs.tolist()):
+            result.cost = cost
 
     def _route_and_verify(self, scheme, pairs, sources, destinations,
                           engine) -> Tuple[List[RouteResult], np.ndarray]:
@@ -380,7 +383,7 @@ class RoutingSimulator:
             program = scheme.compiled_forwarding()
             outcome = run_lockstep(program, sources, destinations, materialize=True)
             costs = self._verify_lockstep(outcome, len(pairs), destinations)
-            self._apply_costs(outcome.results, costs, outcome.cost_override)
+            self._apply_costs(outcome.results, costs)
             return outcome.results, costs
         names = self.graph.names_view()
         results = [scheme.route(u, names[v]) for u, v in pairs]
@@ -424,7 +427,7 @@ class RoutingSimulator:
             max_header = int(outcome.header_bits.max()) if pairs else 0
             results = outcome.results
             if results is not None:
-                self._apply_costs(results, costs, outcome.cost_override)
+                self._apply_costs(results, costs)
         else:
             results, costs = self._route_and_verify(scheme, pairs, sources,
                                                     destinations, engine)

@@ -36,7 +36,7 @@ try:  # pragma: no cover - import guard for exotic platforms
 except ImportError:  # pragma: no cover
     _shared_memory = None  # type: ignore[assignment]
 
-#: TreeBank arrays the fused/legacy engines gather from every step (the
+#: TreeBank arrays the fused kernels gather from every step (the
 #: dense membership matrix is included when the bank materialized it; a
 #: ``None`` placeholder is skipped by ``adopt``)
 TREE_BANK_ATTRS = (

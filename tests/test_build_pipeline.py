@@ -1,13 +1,13 @@
-"""Build parity: vectorized and parallel construction ≡ the scalar path.
+"""Build parity: golden digests, and parallel construction ≡ serial.
 
-The vectorized construction pipeline (shared ``BuildContext``, batched SPT
-forests with distance limits, CSR-coarsened sparse covers, array-built
-next-hop tables) must produce *identical* schemes to the legacy scalar
-constructors (``REPRO_BUILD_MODE=scalar``), and the ``build_matrix``
-worker-thread fan-out must be bit-identical to serial builds.  Identity is
-asserted on routes (node for node), space accounting, headers, and the
-compiled forwarding programs, for all six schemes × three graph families ×
-seeds.
+The construction pipeline (shared ``BuildContext``, batched SPT forests with
+distance limits, CSR-coarsened sparse covers, array-built next-hop tables)
+is pinned to committed sha256 digests of what it builds — routes, space
+accounting, headers and the compiled forwarding programs — for all six
+schemes × three graph families × seeds.  The digests were generated with
+the original per-node scalar constructors, which agreed on every entry.
+The ``build_matrix`` worker-thread fan-out and the JIT toggle must be
+bit-identical to serial, numpy builds.
 """
 
 import numpy as np
@@ -25,8 +25,7 @@ FAMILIES = [("erdos-renyi", 72), ("barabasi-albert", 72), ("grid", 64)]
 SEEDS = [3, 11]
 
 
-def _build(name, graph, oracle, seed, mode, monkeypatch, parallel=None):
-    monkeypatch.setenv("REPRO_BUILD_MODE", mode)
+def _build(name, graph, oracle, seed, parallel=None):
     context = BuildContext(graph, oracle=oracle, seed=seed, parallel=parallel)
     return build_scheme(name, graph, k=2, seed=seed, oracle=oracle,
                         context=context)
@@ -49,41 +48,25 @@ def _assert_equivalent(graph, oracle, reference, candidate, pairs):
     spec_a = {k: v for k, v in reference.rebuild_spec().items() if k != "oracle"}
     spec_b = {k: v for k, v in candidate.rebuild_spec().items() if k != "oracle"}
     assert spec_a == spec_b
-    # lockstep engine reports agree field for field across build modes
+    # lockstep engine reports agree field for field across the two builds
     sim = RoutingSimulator(graph, oracle=oracle)
     rep_a = sim.evaluate(reference, pairs=pairs, engine="lockstep").as_dict()
     rep_b = sim.evaluate(candidate, pairs=pairs, engine="lockstep").as_dict()
     assert rep_a == rep_b
 
 
-@pytest.mark.parametrize("family,n", FAMILIES)
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_vectorized_build_matches_scalar(family, n, scheme, monkeypatch):
-    graph = make_workload(family, n, seed=7)
-    oracle = DistanceOracle(graph)
-    sim = RoutingSimulator(graph, oracle=oracle)
-    pairs = sim.sample_pairs(40, seed=1)
-    for seed in SEEDS:
-        scalar = _build(scheme, graph, oracle, seed, "scalar", monkeypatch)
-        vectorized = _build(scheme, graph, oracle, seed, "vectorized", monkeypatch)
-        _assert_equivalent(graph, oracle, scalar, vectorized, pairs)
-
-
-@pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_parallel_build_is_bit_identical_to_serial(scheme, monkeypatch):
+def test_parallel_build_is_bit_identical_to_serial(scheme):
     graph = make_workload("barabasi-albert", 80, seed=5)
     oracle = DistanceOracle(graph)
     sim = RoutingSimulator(graph, oracle=oracle)
     pairs = sim.sample_pairs(40, seed=2)
-    serial = _build(scheme, graph, oracle, 13, "vectorized", monkeypatch,
-                    parallel=None)
-    parallel = _build(scheme, graph, oracle, 13, "vectorized", monkeypatch,
-                      parallel=3)
+    serial = _build(scheme, graph, oracle, 13, parallel=None)
+    parallel = _build(scheme, graph, oracle, 13, parallel=3)
     _assert_equivalent(graph, oracle, serial, parallel, pairs)
 
 
-def test_build_matrix_rows_and_instances(monkeypatch):
-    monkeypatch.setenv("REPRO_BUILD_MODE", "vectorized")
+def test_build_matrix_rows_and_instances():
     graphs = [("er", make_workload("erdos-renyi", 60, seed=3)),
               ("ba", make_workload("barabasi-albert", 60, seed=4))]
     serial = build_matrix("e11", ["cowen", "thorup-zwick"], graphs, ks=[2],
@@ -121,38 +104,10 @@ def test_jit_toggle_is_bit_identical(scheme, monkeypatch):
     sim = RoutingSimulator(graph, oracle=oracle)
     pairs = sim.sample_pairs(40, seed=3)
     monkeypatch.setenv("REPRO_JIT", "0")
-    plain = _build(scheme, graph, oracle, 17, "vectorized", monkeypatch)
+    plain = _build(scheme, graph, oracle, 17)
     monkeypatch.setenv("REPRO_JIT", "1")
-    jitted = _build(scheme, graph, oracle, 17, "vectorized", monkeypatch)
+    jitted = _build(scheme, graph, oracle, 17)
     _assert_equivalent(graph, oracle, plain, jitted, pairs)
-
-
-@pytest.mark.parametrize("family,n", FAMILIES)
-@pytest.mark.parametrize("k", [2, 3])
-def test_agm_experiment_params_build_parity(family, n, k, monkeypatch):
-    """Scalar ≡ vectorized for the *non-degenerate* AGM parameterization.
-
-    At the paper's factor-16 nearby landmark count and k<=3, S(v,j) holds
-    every finite member, so the vectorized membership pass exercises only
-    its whole-component fast path.  A small ``landmark_count_factor``
-    forces the streamed top-``nearby`` sweep — the path the e18 ladder
-    runs at scale — and it must stay bit-identical to the scalar build.
-    """
-    from repro.core.params import AGMParams
-
-    graph = make_workload(family, n, seed=7)
-    oracle = DistanceOracle(graph)
-    sim = RoutingSimulator(graph, oracle=oracle)
-    pairs = sim.sample_pairs(40, seed=4)
-    params = AGMParams.experiment(landmark_count_factor=0.02)
-    for seed in SEEDS:
-        monkeypatch.setenv("REPRO_BUILD_MODE", "scalar")
-        scalar = build_scheme("agm", graph, k=k, seed=seed, oracle=oracle,
-                              params=params)
-        monkeypatch.setenv("REPRO_BUILD_MODE", "vectorized")
-        vectorized = build_scheme("agm", graph, k=k, seed=seed, oracle=oracle,
-                                  params=params)
-        _assert_equivalent(graph, oracle, scalar, vectorized, pairs)
 
 
 def test_membership_counts_is_ndarray_and_matches_clusters():
@@ -321,8 +276,8 @@ def build_digest(scheme, walks=200, seed=0):
 #: ("agm-lf0.02", family, n, seed, k) for AGM with
 #: ``AGMParams.experiment(landmark_count_factor=0.02)``, whose small nearby
 #: landmark count forces the streamed top-``nearby`` membership sweep.
-#: Generated in both build modes (vectorized and the scalar constructors),
-#: which agreed on every entry.
+#: Generated with both the array-native and the original scalar
+#: constructors, which agreed on every entry.
 GOLDEN_BUILDS = {
     ('agm', 'barabasi-albert', 72, 3):
         '0d073ac5187101722e932687c2ddea7ac5c24225742e8f936e1cf76a9d0275aa',
@@ -434,29 +389,24 @@ def _golden_build(key):
     return build_scheme(name, graph, k=2, seed=seed)
 
 
-@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
 @pytest.mark.parametrize("key", sorted(GOLDEN_BUILDS), ids=repr)
-def test_build_matches_golden_digest(key, mode, monkeypatch):
+def test_build_matches_golden_digest(key):
     """Every scheme's build hashes to its committed digest.
 
     Pins table bits, headers, the compiled forwarding program and scalar
     walks, so any change to what a build produces shows up here.
     """
-    monkeypatch.setenv("REPRO_BUILD_MODE", mode)
     assert build_digest(_golden_build(key)) == GOLDEN_BUILDS[key]
 
 
-@pytest.mark.parametrize("mode", ["vectorized", "scalar"])
 @pytest.mark.parametrize("family,n,seed,names", sorted(GOLDEN_AGM))
-def test_agm_build_matches_golden_digest(family, n, seed, names, mode,
-                                         monkeypatch):
-    """AGM builds in both build modes hash to the committed digest.
+def test_agm_build_matches_golden_digest(family, n, seed, names):
+    """AGM builds hash to the committed digest.
 
     The digests were generated before the Lemma 4 layer became array-native,
     so any change to hash digits, trie or dictionary contents (including
     insertion order), search bounds, table bits or routes shows up here.
     """
     graph = _golden_graph(family, n, seed, names)
-    monkeypatch.setenv("REPRO_BUILD_MODE", mode)
     scheme = build_scheme("agm", graph, k=2, seed=seed)
     assert agm_build_digest(scheme) == GOLDEN_AGM[(family, n, seed, names)]

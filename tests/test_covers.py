@@ -79,17 +79,18 @@ class TestSparseCover:
 
 
 class TestCoverModeParity:
-    """csr ≡ regions ≡ scalar, decision for decision.
+    """csr ≡ regions ≡ the scalar reference, decision for decision.
 
     The region-growing coarsening replaces per-node ball rows with
     multi-source limited Dijkstra layers; it must reproduce the CSR
-    (row-streaming) mode's clusters, homes and phases exactly, which in
-    turn must match the scalar reference — across families, k, radii and
-    node subsets.  ``auto`` must resolve to one of the two.
+    (row-streaming) mode's clusters, homes and phases exactly, and both
+    must hash to the committed digest of the original set-based coarsening
+    loop's cover — across families, k, radii and node subsets.  ``auto``
+    must resolve to one of the two.
     """
 
-    #: (graph, k, radius) -> sha256 of the scalar reference's canonical
-    #: cover (:meth:`_digest`), taken from the scalar coarsening
+    #: (graph, k, radius) -> sha256 of the canonical cover (:meth:`_digest`)
+    #: built by the original set-based coarsening loop
     GOLDEN_SCALAR = {
         ('er-60', 1, 0.5):
             '04e594ab5de64139fc7d2dd2e55df617780f4842e5cba034155e31882bbcb722',
@@ -191,12 +192,7 @@ class TestCoverModeParity:
                 monkeypatch.setenv("REPRO_COVER_MODE", mode)
                 outs[mode] = self._canonical(
                     build_sparse_cover(graph, k, radius, oracle=oracle))
-            monkeypatch.setenv("REPRO_BUILD_MODE", "scalar")
-            monkeypatch.delenv("REPRO_COVER_MODE", raising=False)
-            outs["scalar"] = self._canonical(
-                build_sparse_cover(graph, k, radius, oracle=oracle))
-            monkeypatch.delenv("REPRO_BUILD_MODE", raising=False)
-            assert outs["csr"] == outs["regions"] == outs["scalar"]
+            assert outs["csr"] == outs["regions"]
             assert self._digest(outs["csr"]) == \
                 self.GOLDEN_SCALAR[(label, k, radius)]
 

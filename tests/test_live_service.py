@@ -2,10 +2,10 @@
 
 Covers the seams a live timeline exposes and PR 8 fixed:
 
-* churn -> ``maintain()`` -> route parity: the fused-kernel and legacy
-  lockstep engines must stay bit-identical *across a repair boundary*
-  (a stale per-destination column cache or ``TreeBank`` slot matrix
-  surviving an in-place patch would silently diverge here);
+* churn -> ``maintain()`` -> route parity: the lockstep engine's walks
+  must stay identical to the scalar ``route()``'s *across a repair
+  boundary* (a stale per-destination column cache or ``TreeBank`` slot
+  matrix surviving an in-place patch would silently diverge here);
 * the cache-invalidation API itself (``invalidate_columns`` /
   ``invalidate_caches``);
 * :func:`repro.live.stale_window_outcome` — delivery accounting for
@@ -33,6 +33,7 @@ from repro.graphs.generators import make_graph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.live import LiveSimulator, stale_window_outcome
 from repro.routing.forwarding import run_lockstep
+from repro.routing.simulator import RoutingSimulator
 from repro.traffic.models import make_traffic_model
 from repro.traffic.shm import SharedArena
 
@@ -55,31 +56,30 @@ def _flap_events(graph, count: int = 4):
 
 
 @pytest.mark.parametrize("scheme_name", ["shortest-path", "thorup-zwick"])
-def test_repair_route_parity_across_kernels(scheme_name):
-    """Fused vs legacy walks bit-identical after an in-place repair."""
+def test_repair_route_parity_lockstep_vs_scalar(scheme_name):
+    """Lockstep walks equal scalar ``route()`` walks after an in-place repair."""
     graph, oracle, scheme = _build(scheme_name)
     # warm the live program (and any lazy caches) with a pre-churn batch
     program = scheme.compiled_forwarding()
     model = make_traffic_model("uniform", graph, seed=9)
     src, dst = model.batch(0, 512)
-    run_lockstep(program, src, dst, kernels=True)
+    run_lockstep(program, src, dst)
 
     delta = apply_events(graph, _flap_events(graph))
     scheme.maintain(delta)
-    program = scheme.compiled_forwarding()
 
     model = make_traffic_model("uniform", graph, seed=10)
     src, dst = model.batch(0, 512)
-    fused = run_lockstep(program, src, dst, kernels=True)
-    legacy = run_lockstep(program, src, dst, kernels=False)
-    np.testing.assert_array_equal(fused.found, legacy.found)
-    np.testing.assert_array_equal(fused.final_nodes, legacy.final_nodes)
-    np.testing.assert_array_equal(fused.hop_index, legacy.hop_index)
-    np.testing.assert_array_equal(fused.hop_heads, legacy.hop_heads)
-    np.testing.assert_array_equal(fused.hop_tails, legacy.hop_tails)
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
+    scalar = sim.route_batch(scheme, pairs, engine="scalar")
+    lockstep = sim.route_batch(scheme, pairs, engine="lockstep")
+    for s, l in zip(scalar, lockstep):
+        assert (l.path, l.found, l.strategy, l.phases_used) == \
+            (s.path, s.found, s.strategy, s.phases_used)
     # the post-repair model only samples connected pairs: all delivered
-    assert bool(fused.found.all())
-    np.testing.assert_array_equal(fused.final_nodes, dst)
+    assert all(result.found for result in lockstep)
+    assert [result.path[-1] for result in lockstep] == dst.tolist()
 
 
 def test_invalidate_columns_drops_column_cache():
@@ -181,7 +181,7 @@ def test_live_simulator_timeline(scheme_name):
     assert len(timeline.epochs) == 3
     assert timeline.epochs[0].repair_strategy == "baseline"
     for record in timeline.epochs:
-        # determinism cross-checks ran (shard split + REPRO_KERNELS=0)
+        # determinism cross-checks ran (shard split + scalar parity)
         assert record.determinism_checked
         # SLA: reachable traffic fully delivered within the repair epoch
         assert record.delivery_rate == 1.0

@@ -16,9 +16,8 @@ from repro.graphs.generators import random_geometric_graph
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
 from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
-                                      MemoizedScalarProgram, NextHopTable,
-                                      PacketPlan, TreeBank, run_lockstep,
-                                      table_leg)
+                                      NextHopTable, PacketPlan, TreeBank,
+                                      run_lockstep, table_leg, tree_leg)
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
@@ -109,46 +108,42 @@ class TestSchemeParity:
 
 
 class _UncompiledScheme(RoutingSchemeInstance):
-    """A scheme without a compiled form: exercises the memoized fallback."""
+    """A scheme without a compiled form: it routes through the scalar engine only."""
 
     scheme_name = "uncompiled"
 
     def __init__(self, graph, inner):
         super().__init__(graph)
         self._inner = inner
-        self.route_calls = 0
 
     def route(self, source, destination_name):
-        self.route_calls += 1
         return self._inner.route(source, destination_name)
 
     def header_bits(self):
         return self._inner.header_bits()
 
 
-class TestMemoizedFallback:
-    def test_replay_matches_scalar_and_memoizes(self, small_grid):
+class TestEngineSelection:
+    def test_auto_prefers_scalar_without_program(self, small_grid):
         oracle = DistanceOracle(small_grid)
         sim = RoutingSimulator(small_grid, oracle=oracle)
         inner = build_scheme("shortest-path", small_grid, oracle=oracle)
         scheme = _UncompiledScheme(small_grid, inner)
-        assert isinstance(scheme.compiled_forwarding(), MemoizedScalarProgram)
-        pairs = sim.sample_pairs(40, seed=1)
-        pairs = pairs + pairs  # repeats must be served from the memo
-        lockstep = sim.route_batch(scheme, pairs, engine="lockstep")
-        assert scheme.route_calls == len(set(pairs))
-        scalar = [inner.route(u, small_grid.name_of(v)) for u, v in pairs]
-        _assert_results_match(scalar, lockstep, pairs)
-
-    def test_auto_prefers_scalar_for_fallback(self, small_grid):
-        oracle = DistanceOracle(small_grid)
-        sim = RoutingSimulator(small_grid, oracle=oracle)
-        inner = build_scheme("shortest-path", small_grid, oracle=oracle)
-        scheme = _UncompiledScheme(small_grid, inner)
+        assert scheme.compiled_forwarding() is None
         assert sim.resolve_engine(scheme, "auto") == "scalar"
         assert sim.resolve_engine(inner, "auto") == "lockstep"
         report = sim.evaluate(inner, num_pairs=20, seed=2)
         assert report.engine == "lockstep"
+        report = sim.evaluate(scheme, num_pairs=20, seed=2)
+        assert report.engine == "scalar" and report.failures == 0
+
+    def test_lockstep_without_program_rejected(self, small_grid):
+        oracle = DistanceOracle(small_grid)
+        sim = RoutingSimulator(small_grid, oracle=oracle)
+        inner = build_scheme("shortest-path", small_grid, oracle=oracle)
+        scheme = _UncompiledScheme(small_grid, inner)
+        with pytest.raises(Exception, match="no compiled forwarding program"):
+            sim.evaluate(scheme, num_pairs=5, seed=1, engine="lockstep")
 
     def test_unknown_engine_rejected(self, small_grid):
         oracle = DistanceOracle(small_grid)
@@ -163,21 +158,19 @@ class TestTreeBank:
         tree = geometric_spt
         bank = TreeBank(small_geometric.n)
         tree_id = bank.add(tree)
-        bank.freeze()
+
+        def planner(source: int, destination: int) -> PacketPlan:
+            return PacketPlan([tree_leg(tree_id, destination)], "tree", 0)
+
+        program = ForwardingProgram(small_geometric, planner, bank=bank,
+                                    label="one-tree")
         rng = np.random.default_rng(5)
-        nodes = list(tree.nodes)
-        for _ in range(40):
-            u, v = rng.choice(nodes, size=2)
-            expected = tree.path(int(u), int(v))
-            slot = bank.slot_of(tree_id, int(u))
-            target = bank.slot_of(tree_id, int(v))
-            off = np.asarray([bank.offsets[tree_id]])
-            walked = [int(u)]
-            while slot != target:
-                slot = int(bank.step_toward(np.asarray([slot]),
-                                            np.asarray([target]), off)[0])
-                walked.append(int(bank.node_of_slot[slot]))
-            assert walked == expected
+        pairs = [tuple(int(x) for x in rng.choice(list(tree.nodes), size=2))
+                 for _ in range(40)]
+        outcome = run_lockstep(program, [u for u, _ in pairs],
+                               [v for _, v in pairs])
+        for (u, v), result in zip(pairs, outcome.results):
+            assert result.path == tree.path(u, v)
 
     def test_membership_lookup(self, small_geometric, geometric_spt):
         bank = TreeBank(small_geometric.n)
@@ -386,88 +379,60 @@ class TestLockstepEdgeCases:
         assert all(r.found for r in lockstep)
 
 
-def _assert_outcomes_identical(a, b):
-    """Fused and legacy outcomes must agree walk for walk, bit for bit.
+def _assert_outcome_matches_scalar(outcome, scheme, src, dst):
+    """Array outcome (``materialize=False``, the traffic path) ≡ scalar walks.
 
-    Strategy *codes* may be numbered differently (batch planners emit a
-    fixed code order, the legacy flattener numbers by first encounter), so
-    per-packet strategies are compared as resolved names.
+    Every per-packet field the traffic engine reads — hop records, final
+    node, found, phases, strategy, header bits, notes — must equal what the
+    scalar ``route()`` reports for the same request.
     """
-    assert np.array_equal(a.found, b.found)
-    assert np.array_equal(a.hop_index, b.hop_index)
-    assert np.array_equal(a.hop_heads, b.hop_heads)
-    assert np.array_equal(a.hop_tails, b.hop_tails)
-    assert np.array_equal(a.final_nodes, b.final_nodes)
-    assert np.array_equal(a.phases, b.phases)
-    assert np.array_equal(a.header_bits, b.header_bits)
-    assert np.array_equal(a.cost_override, b.cost_override, equal_nan=True)
-    names_a = [a.strategy_names[c] for c in a.strategy_codes]
-    names_b = [b.strategy_names[c] for c in b.strategy_codes]
-    assert names_a == names_b
-    assert a.notes == b.notes
+    names = scheme.graph.names_view()
+    counts = np.bincount(outcome.hop_index, minlength=len(src))
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    for p, (u, v) in enumerate(zip(src, dst)):
+        expected = scheme.route(u, names[v])
+        lo, hi = bounds[p], bounds[p + 1]
+        assert [u] + outcome.hop_tails[lo:hi].tolist() == expected.path
+        assert outcome.hop_heads[lo:hi].tolist() == expected.path[:-1]
+        assert outcome.final_nodes[p] == expected.path[-1]
+        assert bool(outcome.found[p]) == expected.found
+        assert outcome.phases[p] == expected.phases_used
+        code = outcome.strategy_codes[p]
+        assert (outcome.strategy_names[code] if code >= 0 else "") == \
+            expected.strategy
+        assert outcome.header_bits[p] == expected.max_header_bits
+        assert (outcome.notes[p] or {}) == (expected.notes or {})
 
 
 class TestFusedKernelParity:
-    """``run_lockstep(kernels=True)`` == ``kernels=False`` for every scheme
-    on every graph family — the fused cohort executor reproduces the legacy
-    per-step loop exactly (satellite of the throughput tentpole)."""
+    """The fused kernels' array outcomes equal the scalar ``route()``, packet
+    for packet, on every scheme and graph family."""
 
-    def _outcomes(self, scheme, graph, seed):
-        oracle = DistanceOracle(graph)
-        sim = RoutingSimulator(graph, oracle=oracle)
+    def _check(self, scheme, graph, seed):
+        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         pairs = _pairs_for(sim, graph, seed=seed)
         src = [u for u, _ in pairs]
         dst = [v for _, v in pairs]
-        program = scheme.compiled_forwarding()
-        fused = run_lockstep(program, src, dst, materialize=False, kernels=True)
-        legacy = run_lockstep(program, src, dst, materialize=False,
-                              kernels=False)
-        return fused, legacy
+        outcome = run_lockstep(scheme.compiled_forwarding(), src, dst,
+                               materialize=False)
+        _assert_outcome_matches_scalar(outcome, scheme, src, dst)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("scheme_name",
                              [s for s in SCHEME_NAMES if s != "agm"])
-    def test_kernel_vs_legacy_walks(self, request, family, scheme_name):
+    def test_kernel_vs_scalar_walks(self, request, family, scheme_name):
         graph = request.getfixturevalue(family)
         oracle = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=5, oracle=oracle)
-        fused, legacy = self._outcomes(scheme, graph, seed=21)
-        _assert_outcomes_identical(fused, legacy)
+        self._check(scheme, graph, seed=21)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_kernel_vs_legacy_walks_agm(self, request, family):
+    def test_kernel_vs_scalar_walks_agm(self, request, family):
         graph = request.getfixturevalue(family)
         oracle = DistanceOracle(graph)
         scheme = build_scheme("agm", graph, k=2, seed=5, oracle=oracle,
                               params=AGMParams.experiment())
-        fused, legacy = self._outcomes(scheme, graph, seed=22)
-        _assert_outcomes_identical(fused, legacy)
-
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_empty_batch(self, small_grid, kernels):
-        oracle = DistanceOracle(small_grid)
-        scheme = build_scheme("cowen", small_grid, seed=3, oracle=oracle)
-        outcome = run_lockstep(scheme.compiled_forwarding(), [], [],
-                               kernels=kernels)
-        assert outcome.found.size == 0 and outcome.hop_index.size == 0
-
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_table_hop_cap(self, kernels):
-        # the broken 0 <-> 1 loop: both executors must cut at n + 1 hops
-        # and finalize with the plan's staged metadata
-        graph = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        table = NextHopTable.from_arrays(
-            graph.n, np.asarray([0, 1]), np.asarray([3, 3]), np.asarray([1, 0]))
-
-        def planner(source: int, destination: int) -> PacketPlan:
-            return PacketPlan([table_leg(0, strategy="loop")], "gave-up", 2)
-
-        program = ForwardingProgram(graph, planner, tables=[table],
-                                    label="broken-loop")
-        outcome = run_lockstep(program, [0], [3], kernels=kernels)
-        assert not outcome.found[0]
-        assert outcome.hop_index.size == graph.n + 1
-        assert outcome.strategy_names[outcome.strategy_codes[0]] == "gave-up"
+        self._check(scheme, graph, seed=22)
 
     @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
     def test_detached_destination_parity(self, scheme_name):
@@ -477,29 +442,13 @@ class TestFusedKernelParity:
         victim = max(range(graph.n), key=graph.degree) // 2 + 1
         delta = apply_events(graph, [ChurnEvent("detach", victim)])
         scheme.maintain(delta)
-        program = scheme.compiled_forwarding()
         sources = [u for u in range(graph.n) if u != victim][:10]
         src = sources + [victim]
         dst = [victim] * len(sources) + [sources[0]]
-        fused = run_lockstep(program, src, dst, materialize=False, kernels=True)
-        legacy = run_lockstep(program, src, dst, materialize=False,
-                              kernels=False)
-        _assert_outcomes_identical(fused, legacy)
-        assert not fused.found.any()
-
-    def test_env_kill_switch_forces_legacy(self, small_grid, monkeypatch):
-        oracle = DistanceOracle(small_grid)
-        scheme = build_scheme("cowen", small_grid, seed=3, oracle=oracle)
-        program = scheme.compiled_forwarding()
-        sim = RoutingSimulator(small_grid, oracle=oracle)
-        pairs = sim.sample_pairs(30, seed=2)
-        src = [u for u, _ in pairs]
-        dst = [v for _, v in pairs]
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        env_off = run_lockstep(program, src, dst, materialize=False)
-        explicit_off = run_lockstep(program, src, dst, materialize=False,
-                                    kernels=False)
-        _assert_outcomes_identical(env_off, explicit_off)
+        outcome = run_lockstep(scheme.compiled_forwarding(), src, dst,
+                               materialize=False)
+        _assert_outcome_matches_scalar(outcome, scheme, src, dst)
+        assert not outcome.found.any()
 
 
 class TestReportEngineField:
