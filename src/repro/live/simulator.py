@@ -465,11 +465,10 @@ class LiveSimulator:
                                      resharded.summary(include_p2=False)),
                 f"epoch {epoch}: official stats changed across shard counts")
         sample = min(self.batch_size, self.epoch_packets)
-        scalar, lockstep = (
-            run_traffic_exact(self.scheme, model, sample,
-                              batch_size=self.batch_size, engine=engine,
-                              oracle=self.oracle)
-            for engine in ("scalar", "lockstep"))
+        runs = {engine: run_traffic_exact(self.scheme, model, sample,
+                                          batch_size=self.batch_size,
+                                          engine=engine, oracle=self.oracle)
+                for engine in ("scalar", "lockstep")}
         for key in ("found", "finite", "hops", "stretch"):
-            require(np.array_equal(scalar[key], lockstep[key]),
+            require(np.array_equal(runs["scalar"][key], runs["lockstep"][key]),
                     f"epoch {epoch}: scalar and lockstep {key} differ")
