@@ -127,8 +127,8 @@ class EpochRecord:
     recompile_seconds: float
     report: TrafficReport
     #: True when this epoch's official stats were re-derived under a
-    #: different shard split and with the fused kernels disabled and
-    #: matched bit for bit
+    #: different shard split and matched bit for bit, and its first batch
+    #: routed identically under scalar ``route()`` and the lockstep engine
     determinism_checked: bool = False
 
     @property
@@ -263,10 +263,11 @@ class LiveSimulator:
     repair:
         ``"maintain"`` (scheme-incremental where available) or ``"full"``.
     verify_determinism:
-        Re-run every epoch's traffic under a different shard split and
-        with the fused kernels disabled, requiring bit-identical official
-        summaries (this re-routes each epoch twice more — honest but not
-        free).
+        Re-run every epoch's traffic under a different shard split,
+        requiring bit-identical official summaries, and route the epoch's
+        first batch through both scalar ``route()`` and the lockstep engine,
+        requiring identical per-packet outcomes (this re-routes each epoch
+        once more plus one scalar batch — honest but not free).
     """
 
     def __init__(self, scheme: RoutingSchemeInstance,
@@ -414,6 +415,9 @@ class LiveSimulator:
         """Route the window probe on the stale program; count deliveries."""
         if self.stale_packets == 0:
             return 0
+        require(program is not None,
+                f"scheme {self.scheme.scheme_name!r} has no compiled forwarding "
+                "program to probe the staleness window; set stale_packets=0")
         src, dst = model.batch(0, self.stale_packets)
         outcome = run_lockstep(program, src, dst, materialize=False)
         delivered = stale_window_outcome(self.graph, outcome, src.size, dst)

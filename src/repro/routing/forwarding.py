@@ -268,10 +268,6 @@ class TreeBank:
         hit = self._member_keys[pos_c] == keys
         return np.where(hit, self._member_slots[pos_c], -1)
 
-    def slot_of(self, tree_id: int, node: int) -> int:
-        """Scalar convenience wrapper of :meth:`slots_of`."""
-        return int(self.slots_of(np.asarray([tree_id]), np.asarray([node]))[0])
-
 
 class NextHopTable:
     """Per-(node, destination) next hops as a sorted key array.
@@ -295,27 +291,12 @@ class NextHopTable:
         self._cols: Optional[np.ndarray] = None
 
     @classmethod
-    def from_name_dicts(cls, graph: WeightedGraph,
-                        per_node: Sequence[Dict[object, int]]) -> "NextHopTable":
-        """Compile per-node ``{destination name: next hop}`` dicts."""
-        n = graph.n
-        keys: List[int] = []
-        hops: List[int] = []
-        for u, table in enumerate(per_node):
-            for name, nxt in table.items():
-                keys.append(u * n + graph.index_of(name))
-                hops.append(int(nxt))
-        return cls(n, np.asarray(keys, dtype=np.int64),
-                   np.asarray(hops, dtype=np.int64))
-
-    @classmethod
     def from_arrays(cls, n: int, nodes: np.ndarray, destinations: np.ndarray,
                     next_hops: np.ndarray) -> "NextHopTable":
         """Compile parallel ``(node, destination, next_hop)`` index arrays.
 
-        The array-native sibling of :meth:`from_name_dicts` used by the
-        vectorized constructors: whole table columns arrive as index arrays
-        straight from batched Dijkstra output, so no per-entry Python runs.
+        Whole table columns arrive as index arrays straight from batched
+        Dijkstra output, so no per-entry Python runs.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         destinations = np.asarray(destinations, dtype=np.int64)

@@ -11,9 +11,9 @@ Two evaluation engines are available (``engine=`` on :meth:`evaluate` /
 
 * ``"scalar"`` — per-pair ``scheme.route()`` calls, the reference engine;
 * ``"lockstep"`` — the scheme's :meth:`compile_forwarding` program executed
-  by :func:`repro.routing.forwarding.run_lockstep`: all pending packets
-  advance one hop per step through array gathers over compiled forwarding
-  tables, producing walks identical to the scalar engine;
+  by :func:`repro.routing.forwarding.run_lockstep`: the fused cohort
+  kernels advance all pending packets through array gathers over compiled
+  forwarding tables, producing walks identical to the scalar engine;
 * ``"auto"`` (default) — lockstep when the scheme compiles, scalar otherwise.
 
 Either way the data plane is vectorized: pair sampling rejects disconnected

@@ -33,6 +33,7 @@ from repro.graphs.generators import make_graph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.live import LiveSimulator, stale_window_outcome
 from repro.routing.forwarding import run_lockstep
+from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
 from repro.traffic.models import make_traffic_model
 from repro.traffic.shm import SharedArena
@@ -196,6 +197,33 @@ def test_live_simulator_timeline(scheme_name):
     summary = timeline.summary()
     assert summary["min_delivery_rate"] == 1.0
     assert summary["epochs"] == 3
+
+
+class _UncompiledScheme(RoutingSchemeInstance):
+    """A scheme without a compiled form (scalar engine only)."""
+
+    scheme_name = "uncompiled"
+
+    def __init__(self, inner):
+        super().__init__(inner.graph)
+        self._inner = inner
+
+    def route(self, source, destination_name):
+        return self._inner.route(source, destination_name)
+
+    def header_bits(self):
+        return self._inner.header_bits()
+
+
+def test_stale_window_needs_a_compiled_program():
+    """The window probes the program routers hold; none is a clear error."""
+    graph, oracle, inner = _build("shortest-path", n=120, seed=6)
+    simulator = LiveSimulator(_UncompiledScheme(inner), "flap-heavy",
+                              oracle=oracle, epochs=1, epoch_packets=200,
+                              batch_size=100, stale_packets=50,
+                              engine="scalar", seed=13)
+    with pytest.raises(Exception, match="probe the staleness window"):
+        simulator.run()
 
 
 def test_live_matrix_aligns_events_across_schemes():

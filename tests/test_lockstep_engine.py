@@ -178,7 +178,7 @@ class TestTreeBank:
         assert bank.add(geometric_spt) == tree_id  # idempotent registration
         bank.freeze()
         inside = next(iter(geometric_spt.nodes))
-        assert bank.slot_of(tree_id, inside) >= 0
+        assert bank.slots_of(np.asarray([tree_id]), np.asarray([inside]))[0] >= 0
         assert bank.slots_of(np.asarray([tree_id + 7]),
                              np.asarray([inside]))[0] == -1
 
@@ -190,9 +190,9 @@ class TestTreeBank:
 
 class TestNextHopTable:
     def test_lookup_hits_and_misses(self, tiny_path):
-        table = NextHopTable.from_name_dicts(
-            tiny_path,
-            [{tiny_path.name_of(1): 1}, {tiny_path.name_of(2): 2}, {}, {}, {}, {}])
+        table = NextHopTable.from_arrays(
+            tiny_path.n, np.asarray([0, 1]), np.asarray([1, 2]),
+            np.asarray([1, 2]))
         hits = table.lookup(np.asarray([0, 1, 2]), np.asarray([1, 2, 3]))
         assert hits.tolist() == [1, 2, -1]
         assert table.lookup(np.asarray([0]), np.asarray([3]))[0] == -1
