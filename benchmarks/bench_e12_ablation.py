@@ -3,13 +3,13 @@
 import pytest
 
 from benchmarks.conftest import record
-from repro.experiments import exp_ablation
+from repro.experiments.matrix.kinds import run_ablation
 
 
 @pytest.mark.bench
 def test_e12_ablation(benchmark, quick):
     def run():
-        return exp_ablation.run(quick=quick, seed=9, k=2)
+        return run_ablation(quick=quick, seed=9, k=2)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert all(r["failures"] == 0 for r in result.rows)

@@ -13,9 +13,9 @@ and, for the dense and lazy backends, records
 With ``--agm`` it additionally runs the headline scenario: a k=2 AGM scheme
 build plus a 200-pair evaluation on the largest size with the lazy backend —
 demonstrating that the full pipeline completes without ever allocating the
-dense n×n matrix (constant factors of the landmark sets are scaled down via
-``AGMParams.experiment``, which documents the substitution; exponents are
-untouched).
+dense n×n matrix (above n=256 the landmark sets' constant factor is scaled
+down via ``AGMParams.experiment``, as in every bench — see
+``common.scheme_kwargs``; exponents are untouched).
 
 Usage::
 
@@ -27,15 +27,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import math
 import time
 import tracemalloc
 
-from repro.core.params import AGMParams
 from repro.core.scheme import AGMRoutingScheme
 from repro.experiments.workloads import make_workload
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.simulator import RoutingSimulator
+
+from common import scheme_kwargs
 
 NUM_PAIRS = 200
 NUM_PROBES = 64
@@ -82,12 +82,9 @@ def run_agm_scenario(n: int, seed: int = 42) -> None:
     graph = make_workload("barabasi-albert", n, seed=seed)
     tracemalloc.start()
     oracle = DistanceOracle(graph, backend="lazy")
-    # scale the landmark-set constant factor so |S(u, i)| stays ~16 at this n
-    # (exponents untouched; the paper's constant exceeds n outright here)
-    factor = 16.0 / (n * math.log2(max(n, 2)))
-    params = AGMParams.experiment(landmark_count_factor=factor)
     t0 = time.perf_counter()
-    scheme = AGMRoutingScheme.build(graph, k=2, params=params, oracle=oracle, seed=3)
+    scheme = AGMRoutingScheme.build(graph, k=2, oracle=oracle, seed=3,
+                                    **scheme_kwargs("agm", n))
     build_seconds = time.perf_counter() - t0
     simulator = RoutingSimulator(graph, oracle=oracle)
     t0 = time.perf_counter()

@@ -40,33 +40,20 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import time
 
-from repro.core.params import AGMParams
 from repro.experiments.workloads import make_workload
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.simulator import RoutingSimulator
 
-from common import bench_meta, default_json_path, write_bench_json
+from common import bench_meta, default_json_path, scheme_kwargs, write_bench_json
 
 DEFAULT_SIZES = [1000, 5000, 20000]
 DEFAULT_PAIRS = 2000
 QUICK_SIZES = [400]
 QUICK_PAIRS = 1500
-
-
-def scheme_kwargs(name: str, n: int) -> dict:
-    """Per-scheme constructor extras (AGM constants scaled as in E13)."""
-    if name == "agm" and n > 256:
-        # keep |S(u, i)| ~16 at this n (exponents untouched; see E13)
-        factor = 16.0 / (n * math.log2(max(n, 2)))
-        return {"params": AGMParams.experiment(landmark_count_factor=factor)}
-    if name == "agm":
-        return {"params": AGMParams.experiment()}
-    return {}
 
 
 def run_cell(sim, graph, oracle, name: str, pairs, seed: int) -> dict:

@@ -1,10 +1,18 @@
 """E15 — churn: repair cost, stretch drift, and delivery under failures.
 
 Runs a churn scenario (default: ``flap-heavy`` on a scale-free graph with
-``n >= 1000``) through ``--epochs`` event epochs with **all six schemes live**:
-per epoch the event batch is applied, each scheme's delivery rate *under
-stale state* is measured, the scheme is repaired, and the repaired scheme is
-evaluated on both engines (the reports are cross-checked field by field).
+``n >= 1000``) through ``--epochs`` event epochs with **all six schemes
+live**, on the live-network timeline
+(:func:`repro.experiments.harness.run_live_matrix`, one
+:class:`~repro.live.LiveSimulator` per scheme, every scheme on the same
+seed and so the same event sequence).  Per epoch the event batch is applied,
+``--pairs`` uniform probe packets are routed on the **stale** compiled
+program over the mutated graph (the staleness window), the scheme is
+repaired and its forwarding recompiled, and ``--pairs`` uniform packets are
+routed on the repaired scheme.  Every epoch is determinism-checked: its
+traffic is re-run under another shard split, and its first batch is routed
+by the scalar ``route()`` and the lockstep engine, which must agree packet
+for packet.
 
 The run happens **twice on the same seed**: once with ``repair="maintain"``
 (incremental where the scheme supports it — shortest-path patches its
@@ -13,13 +21,16 @@ in its ``TreeBank``) and once with ``repair="full"`` (forced full rebuild).
 The summary prices incremental repair against the full recompile per scheme.
 
 Reported per (mode, epoch, scheme): events applied, stale delivery rate,
-post-repair delivery rate and stretch drift, repair seconds + strategy, and
-forwarding recompile seconds.  JSON lands in ``BENCH_e15.json`` next to the
-repo root so future changes have a repair-cost trajectory to compare against.
+post-repair SLA delivery rate, stretch drift (``avg_stretch`` minus the
+scheme's epoch-0 ``avg_stretch``), repair seconds + strategy, forwarding
+recompile seconds, and whether the determinism check ran.  JSON lands in
+``BENCH_e15.json`` next to the repo root so future changes have a
+repair-cost trajectory to compare against.
 
 ``--quick`` shrinks the run for CI; ``--assert`` fails the process unless
-parity holds everywhere, post-repair delivery is total, and incremental
-repair beats the full rebuild for the incremental-capable schemes.
+every epoch passed the determinism check, post-repair delivery is total,
+and incremental repair beats the full rebuild for the incremental-capable
+schemes.
 
 Usage::
 
@@ -33,15 +44,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import math
-import os
 
-from repro.core.params import AGMParams
-from repro.dynamics.scenario import SCENARIO_NAMES, run_scenario_matrix
+from repro.dynamics.scenario import SCENARIO_NAMES
+from repro.experiments.harness import run_live_matrix
 from repro.experiments.workloads import workload_factory
 from repro.factory import SCHEME_NAMES
 
-from common import bench_meta, default_json_path, write_bench_json
+from common import bench_meta, default_json_path, scheme_kwargs, write_bench_json
 
 DEFAULT_N = 1000
 DEFAULT_EPOCHS = 5
@@ -55,28 +64,27 @@ QUICK_PAIRS = 120
 INCREMENTAL_SCHEMES = ("shortest-path", "thorup-zwick")
 
 
-def scheme_kwargs(n: int) -> dict:
-    """Per-scheme constructor extras (AGM constants scaled as in E13/E14)."""
-    if n > 256:
-        factor = 16.0 / (n * math.log2(max(n, 2)))
-        return {"agm": {"params": AGMParams.experiment(landmark_count_factor=factor)}}
-    return {"agm": {"params": AGMParams.experiment()}}
-
-
 def run_mode(mode: str, args, family: str = "barabasi-albert") -> list:
-    rows = run_scenario_matrix(
+    rows = run_live_matrix(
+        f"e15_churn_{mode}",
         args.schemes,
         workload_factory(family, args.n, seed=args.seed),
-        scenarios=(args.scenario,),
+        scenario=args.scenario,
         epochs=args.epochs,
-        num_pairs=args.pairs,
+        epoch_packets=args.pairs,
+        stale_packets=args.pairs,
+        model="uniform",
         seed=args.seed,
         backend=args.backend if args.backend != "auto" else None,
-        scheme_kwargs=scheme_kwargs(args.n),
+        scheme_kwargs={name: scheme_kwargs(name, args.n)
+                       for name in args.schemes},
         repair=mode,
+        verify_determinism=True,
     ).rows
+    baseline = {r["scheme"]: r["avg_stretch"] for r in rows if r["epoch"] == 0}
     for row in rows:
         row["mode"] = mode
+        row["stretch_drift"] = row["avg_stretch"] - baseline[row["scheme"]]
     return rows
 
 
@@ -85,7 +93,9 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=None,
                         help=f"graph size (default {DEFAULT_N})")
     parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--pairs", type=int, default=None)
+    parser.add_argument("--pairs", type=int, default=None,
+                        help="packets per epoch and per staleness window "
+                             f"(default {DEFAULT_PAIRS})")
     parser.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
                         choices=list(SCHEME_NAMES))
     parser.add_argument("--scenario", default="flap-heavy",
@@ -97,7 +107,8 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: small graph, fewer epochs/pairs")
     parser.add_argument("--assert", dest="check", action="store_true",
-                        help="exit non-zero unless parity + delivery hold and "
+                        help="exit non-zero unless every epoch passed the "
+                             "determinism check, delivery holds and "
                              "incremental repair beats the full rebuild")
     parser.add_argument("--json", default=None,
                         help="where to write the JSON rows "
@@ -110,10 +121,10 @@ def main() -> None:
     json_path = args.json or default_json_path(__file__, "BENCH_e15.json")
 
     print(f"# E15: churn scenario '{args.scenario}' at n={args.n}, "
-          f"{args.epochs} epochs, {args.pairs} pairs/epoch")
+          f"{args.epochs} epochs, {args.pairs} packets/epoch")
     header = (f"{'mode':>8} {'ep':>3} {'scheme':>15} {'events':>6} "
               f"{'stale':>6} {'deliv':>6} {'drift':>7} {'repair':>13} "
-              f"{'rep_s':>7} {'recmp_s':>8} {'parity':>6}")
+              f"{'rep_s':>7} {'recmp_s':>8} {'checked':>7}")
     print(header)
     print("-" * len(header))
 
@@ -123,9 +134,10 @@ def main() -> None:
             rows.append(row)
             print(f"{row['mode']:>8} {row['epoch']:>3} {row['scheme']:>15} "
                   f"{row['events']:>6} {row['stale_delivery']:>6.2f} "
-                  f"{row['delivery']:>6.2f} {row['stretch_drift']:>+7.3f} "
+                  f"{row['delivery_rate']:>6.2f} {row['stretch_drift']:>+7.3f} "
                   f"{row['repair_strategy']:>13} {row['repair_seconds']:>7.3f} "
-                  f"{row['recompile_seconds']:>8.3f} {str(row['parity']):>6}")
+                  f"{row['recompile_seconds']:>8.3f} "
+                  f"{str(row['determinism_checked']):>7}")
 
     # price incremental repair against the forced full rebuild
     summary = {}
@@ -166,10 +178,13 @@ def main() -> None:
     print(f"wrote {json_path}")
 
     if args.check:
-        broken = [r for r in rows if not r["parity"]]
-        assert not broken, f"engine parity broken under churn: {broken[:3]}"
+        # a parity or determinism mismatch raises inside the run; this gate
+        # proves the check actually ran on every epoch of every scheme
+        unchecked = [(r["mode"], r["epoch"], r["scheme"]) for r in rows
+                     if not r["determinism_checked"]]
+        assert not unchecked, f"epochs without a parity check: {unchecked[:3]}"
         undelivered = [r for r in rows
-                       if r["epoch"] > 0 and r["pairs"] > 0 and r["delivery"] < 1.0]
+                       if r["epoch"] > 0 and r["delivery_rate"] < 1.0]
         assert not undelivered, (
             f"post-repair delivery incomplete: {undelivered[:3]}")
         for scheme in INCREMENTAL_SCHEMES:

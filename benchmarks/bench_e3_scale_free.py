@@ -3,7 +3,7 @@
 import pytest
 
 from benchmarks.conftest import record
-from repro.experiments import exp_scale_free
+from repro.experiments.matrix.kinds import run_scale_free
 
 
 @pytest.mark.bench
@@ -11,7 +11,7 @@ def test_e3_scale_free(benchmark, quick):
     deltas = [1e2, 1e6, 1e12] if quick else [1e2, 1e4, 1e6, 1e9, 1e12]
 
     def run():
-        return exp_scale_free.run(quick=quick, seed=3, k=2, deltas=deltas, num_pairs=30)
+        return run_scale_free(quick=quick, seed=3, k=2, deltas=deltas, num_pairs=30)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     agm = sorted(result.filter(scheme="agm"), key=lambda r: r["target_delta"])

@@ -3,13 +3,13 @@
 import pytest
 
 from benchmarks.conftest import record
-from repro.experiments import exp_lemma_properties
+from repro.experiments.matrix.kinds import run_lemma_properties
 
 
 @pytest.mark.bench
 def test_e5_e6_lemma_properties(benchmark, quick):
     def run():
-        return exp_lemma_properties.run(quick=quick, seed=5, k=3)
+        return run_lemma_properties(quick=quick, seed=5, k=3)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     total_l2 = sum(r["lemma2_checked"] for r in result.rows)

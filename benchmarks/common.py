@@ -11,11 +11,30 @@ budget with memmapped spill produce very different "seconds" columns.
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import sys
 import tempfile
 from typing import Dict, Optional
+
+from repro.core.params import AGMParams
+
+
+def scheme_kwargs(name: str, n: int) -> dict:
+    """Per-scheme constructor extras for a bench graph of ``n`` nodes.
+
+    AGM runs with the experiment constants; above n=256 the landmark-count
+    factor is scaled to ``16 / (n log2 n)`` so |S(u, i)| stays ~16 (the
+    paper's constant exceeds n outright there; exponents are untouched).
+    Every other scheme takes no extras.
+    """
+    if name != "agm":
+        return {}
+    if n > 256:
+        factor = 16.0 / (n * math.log2(n))
+        return {"params": AGMParams.experiment(landmark_count_factor=factor)}
+    return {"params": AGMParams.experiment()}
 
 
 def write_bench_json(path: str, payload: object) -> None:

@@ -13,12 +13,12 @@ next to the Awerbuch–Peleg-style hierarchical scheme.
 Run with ``python examples/scale_free_demo.py``.
 """
 
-from repro.experiments.exp_scale_free import run
+from repro.experiments.matrix.kinds import run_scale_free
 from repro.experiments.reporting import format_series, format_table
 
 
 def main() -> None:
-    result = run(quick=True, seed=0, k=2, deltas=[1e2, 1e4, 1e6, 1e9])
+    result = run_scale_free(quick=True, seed=0, k=2, deltas=[1e2, 1e4, 1e6, 1e9])
     print(format_table(
         result.rows,
         columns=["scheme", "target_delta", "measured_delta", "max_table_bits",

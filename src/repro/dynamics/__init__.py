@@ -14,10 +14,12 @@ layered between ``routing/`` and ``experiments/``:
     ``RoutingSchemeInstance.maintain``), the :class:`RepairReport` cost
     record, and shared helpers for the schemes' incremental paths.
 ``scenario``
-    Named churn scenarios (flap-heavy, degradation, partition-and-heal)
-    composing any workload family, plus :func:`run_scenario_matrix`, which
-    drives every scheme through event epochs on both evaluation engines and
-    reports stretch drift, delivery under stale state, and repair cost.
+    Named churn scenarios (flap-heavy, degradation, partition-and-heal and
+    the three traffic-steering adversarial ones) composing any workload
+    family.  The epoch loop that drives them — stale-window probe, repair,
+    recompile, traffic — is :class:`repro.live.LiveSimulator`, run for
+    several schemes at once by
+    :func:`repro.experiments.harness.run_live_matrix`.
 """
 
 from repro.dynamics.events import (
@@ -35,8 +37,6 @@ from repro.dynamics.scenario import (
     SCENARIO_NAMES,
     ChurnScenario,
     make_scenario,
-    run_scenario_matrix,
-    stale_delivery_rate,
 )
 
 __all__ = [
@@ -54,6 +54,4 @@ __all__ = [
     "ChurnScenario",
     "SCENARIO_NAMES",
     "make_scenario",
-    "run_scenario_matrix",
-    "stale_delivery_rate",
 ]

@@ -1,8 +1,10 @@
-"""Experiment harness: workloads, runner, reporting, and one module per experiment.
+"""Experiment harness: workloads, runners, reporting and the experiment kinds.
 
-Each ``exp_*`` module exposes ``run(quick=True, seed=...) -> ExperimentResult``
-so that the pytest-benchmark wrappers in ``benchmarks/`` and the runnable
-examples can share the exact same code paths.
+Every experiment body (E1–E5, E12, and the general ``grid`` / ``traffic`` /
+``live`` kinds) is a function in :mod:`repro.experiments.matrix.kinds` with
+the shape ``fn(quick=True, seed=..., **params) -> ExperimentResult``; the
+pytest-benchmark wrappers in ``benchmarks/``, the runnable examples and the
+config-driven matrix runner all call those functions directly.
 """
 
 from repro.experiments.harness import ExperimentResult, run_matrix, evaluate_scheme_on_graph

@@ -18,6 +18,11 @@ over worker threads and, inside each cell, the scheme's
 units (scales, cluster-tree chunks, cover exponents) over the same worker
 budget.  Unit seeds always derive from unit indices, so parallel builds are
 bit-identical to serial ones (asserted by ``tests/test_build_pipeline.py``).
+
+``run_live_matrix`` is the churn sibling: every scheme runs the same seeded
+:class:`~repro.live.LiveSimulator` timeline (churn batch, staleness-window
+probe, repair, recompile, traffic epoch) — the one epoch loop behind E15,
+E19 and the ``live`` matrix kind.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.construction.context import BuildContext
+from repro.dynamics.scenario import make_scenario
 from repro.factory import build_scheme
 from repro.graphs.backends import BackendLike
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.metrics import graph_summary
 from repro.graphs.shortest_paths import DistanceOracle
+from repro.live import LiveSimulator
 from repro.routing.simulator import RoutingSimulator
 from repro.traffic.engine import DEFAULT_BATCH_SIZE, run_traffic
 from repro.traffic.models import make_traffic_model
@@ -397,11 +404,6 @@ def run_live_matrix(
     statistics.  Timeline-level summaries (exact cross-epoch merges plus
     worst-epoch figures) land in ``result.metadata["timelines"]``.
     """
-    # local import: repro.live pulls in dynamics.scenario, which imports
-    # this module — importing it lazily keeps the package graph acyclic
-    from repro.dynamics.scenario import make_scenario
-    from repro.live import LiveSimulator
-
     result = ExperimentResult(name=name)
     result.metadata.update(scenario=scenario, model=model, k=k,
                            epochs=epochs, epoch_packets=epoch_packets,
@@ -419,13 +421,10 @@ def run_live_matrix(
         # a fresh scenario per scheme: scenario objects carry plan state
         # (partition regions, flap schedules), so sharing one across
         # timelines would leak one scheme's plan into the next
-        scenario_for_scheme = (make_scenario(scenario, **scenario_kwargs)
-                               if scenario_kwargs and isinstance(scenario, str)
-                               else scenario)
         simulator = LiveSimulator(
-            scheme, scenario_for_scheme, oracle=oracle, model=model,
-            model_kwargs=model_kwargs, epochs=epochs,
-            epoch_packets=epoch_packets, batch_size=batch_size,
+            scheme, make_scenario(scenario, **(scenario_kwargs or {})),
+            oracle=oracle, model=model, model_kwargs=model_kwargs,
+            epochs=epochs, epoch_packets=epoch_packets, batch_size=batch_size,
             stale_packets=stale_packets, shards=shards,
             processes=processes, engine=engine, scoring=scoring,
             sample_per_batch=sample_per_batch, num_landmarks=num_landmarks,

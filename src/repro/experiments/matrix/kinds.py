@@ -1,9 +1,9 @@
 """The experiment bodies the matrix runner can execute, keyed by kind name.
 
-The six historical ``exp_*`` modules each carried one of these bodies plus
-its own ad-hoc argument plumbing; the bodies now live here (one function per
-kind, same row-for-row behavior) and the ``exp_*`` entry points are thin
-shims over them.  Three general kinds join them:
+Six experiment bodies (E1 ``tradeoff``, E2 ``comparison``, E3
+``scale-free``, E4 ``stretch-growth``, E5/E6 ``lemma-properties``, E12
+``ablation``) live here, one function per kind; benches, tests and examples
+call them directly.  Three general kinds join them:
 
 ``grid``
     schemes x graphs x k through :func:`repro.experiments.harness.run_matrix`

@@ -8,8 +8,8 @@ stdlib ``tomllib`` exists (3.11+; the CI fast-unit matrix still includes
     Result-directory stem; also the merged table's title.
 ``kind``
     Which experiment body to run — one of
-    :data:`repro.experiments.matrix.kinds.KIND_NAMES`.  The six historical
-    ``exp_*`` entry points are kinds (``comparison``, ``tradeoff``, ...);
+    :data:`repro.experiments.matrix.kinds.KIND_NAMES`.  The six paper
+    experiments are kinds (``comparison``, ``tradeoff``, ...);
     ``grid`` / ``traffic`` / ``live`` are the general matrix kinds that
     compose a graph source x scheme grid x traffic model x churn scenario.
 ``seeds``

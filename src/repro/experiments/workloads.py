@@ -95,10 +95,10 @@ def workload_factory(family: str, n: int,
                      seed: Optional[int] = None) -> Callable[[], WeightedGraph]:
     """A zero-arg callable producing a fresh workload graph on every call.
 
-    Churn runs (:func:`repro.dynamics.scenario.run_scenario_matrix`, the E15
-    bench) mutate their graph in place, so each scenario needs its own
-    instance; this is the composition point between the workload families and
-    the dynamic scenarios.
+    Churn runs (:func:`repro.experiments.harness.run_live_matrix`, the E15
+    and E19 benches) mutate their graph in place, so each scheme's timeline
+    needs its own instance; this is the composition point between the
+    workload families and the dynamic scenarios.
     """
     return lambda: make_workload(family, n, seed=seed)
 

@@ -4,22 +4,22 @@ import pytest
 
 from repro.core.params import AGMParams
 from repro.core.scheme import AGMRoutingScheme
-from repro.experiments import exp_ablation
+from repro.experiments.matrix.kinds import run_ablation
 from repro.routing.simulator import RoutingSimulator
 
 
 class TestAblationExperiment:
     def test_tiny_sweep_runs_and_stays_correct(self):
-        result = exp_ablation.run(quick=True, seed=2, k=2,
-                                  dense_gaps=[1, 3], sparse_shrinks=[6.0],
+        result = run_ablation(quick=True, seed=2, k=2,
+                              dense_gaps=[1, 3], sparse_shrinks=[6.0],
                                   num_pairs=15)
         assert len(result.rows) == 2
         assert all(r["failures"] == 0 for r in result.rows)
         assert {r["dense_gap"] for r in result.rows} == {1, 3}
 
     def test_rows_carry_setting_columns(self):
-        result = exp_ablation.run(quick=True, seed=2, k=2,
-                                  dense_gaps=[3], sparse_shrinks=[3.0, 12.0],
+        result = run_ablation(quick=True, seed=2, k=2,
+                              dense_gaps=[3], sparse_shrinks=[3.0, 12.0],
                                   num_pairs=10)
         for row in result.rows:
             assert row["sparse_shrink"] in (3.0, 12.0)

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from repro.experiments import exp_comparison
 from repro.experiments.matrix import (
     KIND_NAMES,
     load_spec,
@@ -17,6 +16,7 @@ from repro.experiments.matrix.kinds import (
     graph_factory_from_source,
     resolve_graph_sources,
     resolve_scheme_kwargs,
+    run_comparison,
 )
 from repro.experiments.matrix.spec import parse_count, pick_size, spec_fingerprint
 
@@ -143,15 +143,15 @@ class TestResolution:
 
 
 class TestRunner:
-    def test_committed_e2_config_reproduces_shim_bit_identically(self, tmp_path):
+    def test_committed_e2_config_reproduces_run_comparison_bit_identically(self, tmp_path):
         """The acceptance criterion: configs/e2_comparison.json through the
-        matrix runner equals exp_comparison.run() row for row (timing aside)."""
+        matrix runner equals kinds.run_comparison() row for row (timing aside)."""
         import pathlib
 
         root = pathlib.Path(__file__).resolve().parent.parent
         spec = load_spec(root / "configs" / "e2_comparison.json")
         report = run_spec(spec, out_dir=tmp_path)
-        direct = exp_comparison.run(quick=True, seed=0)
+        direct = run_comparison(quick=True, seed=0)
         via_matrix = strip_timing(
             [{k: v for k, v in row.items() if k != "run_seed"}
              for row in report.rows])

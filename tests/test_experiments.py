@@ -1,9 +1,13 @@
-"""Tests for the experiment harness, workloads, reporting and the exp_* modules."""
+"""Tests for the experiment harness, workloads, reporting and the experiment kinds."""
 
 import pytest
 
-from repro.experiments import exp_comparison, exp_lemma_properties, exp_scale_free
 from repro.experiments.harness import ExperimentResult, evaluate_scheme_on_graph, run_matrix
+from repro.experiments.matrix.kinds import (
+    run_comparison,
+    run_lemma_properties,
+    run_scale_free,
+)
 from repro.experiments.reporting import format_series, format_table, results_to_csv
 from repro.experiments.workloads import (
     WorkloadSpec,
@@ -118,16 +122,16 @@ class TestReporting:
 
 
 class TestExperimentModules:
-    """Each experiment module must run end-to-end on tiny inputs."""
+    """Each experiment kind must run end-to-end on tiny inputs."""
 
     def test_exp_comparison_tiny(self):
-        result = exp_comparison.run(quick=True, seed=1, k=2,
-                                    schemes=["shortest-path", "cowen"], num_pairs=15)
+        result = run_comparison(quick=True, seed=1, k=2,
+                                schemes=["shortest-path", "cowen"], num_pairs=15)
         assert result.rows
         assert all(r["failures"] == 0 for r in result.rows)
 
     def test_exp_scale_free_tiny(self):
-        result = exp_scale_free.run(quick=True, seed=1, k=2, deltas=[1e2, 1e12], num_pairs=12)
+        result = run_scale_free(quick=True, seed=1, k=2, deltas=[1e2, 1e12], num_pairs=12)
         agm_rows = result.filter(scheme="agm")
         ap_rows = result.filter(scheme="awerbuch-peleg")
         assert len(agm_rows) == 2 and len(ap_rows) == 2
@@ -141,7 +145,7 @@ class TestExperimentModules:
         assert agm_growth <= 3.0
 
     def test_exp_lemma_properties_tiny(self):
-        result = exp_lemma_properties.run(quick=True, seed=1, k=2)
+        result = run_lemma_properties(quick=True, seed=1, k=2)
         assert result.rows
         for row in result.rows:
             assert row["lemma2_violations"] == 0
