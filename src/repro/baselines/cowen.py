@@ -162,30 +162,13 @@ class CowenRouting(RoutingSchemeInstance):
     # ------------------------------------------------------------------ #
     def compile_forwarding(self):
         """Compile landmark trees (bank); the cluster table is already compiled."""
-        from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, table_leg, tree_leg)
-
-        from repro.routing.forwarding import LEG_TABLE, LEG_TREE
+        from repro.routing.forwarding import (LEG_TABLE, LEG_TREE,
+                                              ForwardingProgram, TreeBank)
         from repro.routing.kernels import BatchPlans
 
         bank = TreeBank(self.graph.n)
         tree_id_of = {a: bank.add(routing.tree) for a, routing in self._trees.items()}
         header = self.header_bits()
-
-        def plan(source: int, destination: int) -> PacketPlan:
-            if source == destination:
-                return PacketPlan([], "cowen", 0)
-            # phase 1: cluster routing; reaching the destination finalizes
-            legs = [table_leg(0, "cowen-cluster", 1)]
-            # phase 2: the destination's home-landmark tree.  The entry point
-            # is wherever phase 1 stopped, resolved dynamically by the engine
-            # (a miss there mirrors the scalar ``contains(current)`` guard).
-            home = self.home[destination]
-            routing = self._trees[home]
-            if routing.tree.contains(destination):
-                legs.append(tree_leg(tree_id_of[home], destination,
-                                     "cowen-landmark", 2, terminal=True))
-            return PacketPlan(legs, "cowen", 0)
 
         # vectorized batch planning: per-destination home-tree / target-slot
         # arrays, computed once per compiled program (the bank is frozen by
@@ -203,7 +186,7 @@ class CowenRouting(RoutingSchemeInstance):
                 home_tree = landmark_tree[
                     np.asarray([self.home[v] for v in range(n)], dtype=np.int64)]
                 # slot >= 0 iff the home tree contains the node — the same
-                # membership test ``plan`` runs via ``tree.contains``
+                # membership test ``route`` runs via ``tree.contains``
                 target_slot = bank.slots_of(home_tree, all_nodes)
                 cached = (home_tree, target_slot)
                 dest_arrays["arrs"] = cached
@@ -216,8 +199,11 @@ class CowenRouting(RoutingSchemeInstance):
                 else np.zeros(0, dtype=np.int64)
             total = int(counts.sum())
             # leg 0 (every non-self packet): the cluster-table phase;
-            # leg 1 (packets whose home tree holds the destination): the
-            # terminal landmark-tree walk
+            # reaching the destination finalizes.  Leg 1 (packets whose
+            # home tree holds the destination): the terminal landmark-tree
+            # walk, entered wherever phase 1 stopped — the engine resolves
+            # the entry, and a miss there mirrors the scalar
+            # ``contains(current)`` guard
             leg_kind = np.full(total, LEG_TABLE, dtype=np.int8)
             leg_a = np.zeros(total, dtype=np.int64)
             leg_b = np.full(total, -1, dtype=np.int64)
@@ -241,7 +227,7 @@ class CowenRouting(RoutingSchemeInstance):
                 strategy_names=["cowen", "cowen-cluster", "cowen-landmark"],
                 header_bits=np.full(num, header, dtype=np.int64))
 
-        return ForwardingProgram(self.graph, plan, bank=bank,
+        return ForwardingProgram(self.graph, bank=bank,
                                  tables=[self._cluster_table],
                                  header_bits=header, label="cowen",
                                  batch_planner=plan_batch)

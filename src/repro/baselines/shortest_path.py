@@ -251,23 +251,14 @@ class ShortestPathRouting(RoutingSchemeInstance):
 
     def compile_forwarding(self):
         """Wrap the next-hop matrix as a dense compiled table (zero copy)."""
-        from repro.routing.forwarding import (DenseNextHopTable,
-                                              ForwardingProgram, PacketPlan,
-                                              table_leg)
-        from repro.routing.forwarding import LEG_TABLE
+        from repro.routing.forwarding import (LEG_TABLE, DenseNextHopTable,
+                                              ForwardingProgram)
         from repro.routing.kernels import BatchPlans
 
         table = DenseNextHopTable(self._next_hop)
         header = self.header_bits()
-        # only two distinct plans exist; share the (immutable) objects
-        self_plan = PacketPlan([], "shortest-path", 0)
-        table_plan = PacketPlan([table_leg(0, "shortest-path", 1)], "shortest-path", 0)
-
-        def plan(source: int, destination: int) -> PacketPlan:
-            return self_plan if source == destination else table_plan
-
         def plan_batch(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
-            # vectorized sibling of ``plan``: one table leg per non-self pair
+            # one table leg per non-self pair
             num = int(src.size)
             counts = (src != dst).astype(np.int64)
             leg_lo = np.concatenate(([0], np.cumsum(counts)[:-1])) if num \
@@ -287,7 +278,7 @@ class ShortestPathRouting(RoutingSchemeInstance):
                 strategy_names=["shortest-path"],
                 header_bits=np.full(num, header, dtype=np.int64))
 
-        return ForwardingProgram(self.graph, plan, tables=[table],
+        return ForwardingProgram(self.graph, tables=[table],
                                  header_bits=header, label="shortest-path",
                                  batch_planner=plan_batch)
 

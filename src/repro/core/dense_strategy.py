@@ -177,35 +177,34 @@ class DenseStrategy:
         return max((r.header_bits() for routings in self.covers.values() for r in routings),
                    default=0)
 
+    def home_table(self, tree_index: Dict[int, int]) -> np.ndarray:
+        """``(n, k+1)`` array of home trees for the batch planner.
+
+        Entry ``[u, i]`` is ``tree_index[id(routing)]``, the caller's index
+        of ``W(u, i)``'s Lemma 7 structure, and ``-1`` where the level is
+        sparse or inapplicable (:meth:`is_applicable`).
+        """
+        table = np.full((self.graph.n, self.k + 1), -1, dtype=np.int64)
+        for (u, i), j in self.exponent_of.items():
+            if self.is_applicable(u, i):
+                table[u, i] = tree_index[id(self.covers[j][self.home_index[j][u]])]
+        return table
+
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def route(self, u: int, i: int, target_name: Hashable
+    def route(self, u: int, i: int, target_name: Hashable,
+              fold: Optional[int] = None
               ) -> Tuple[List[int], float, bool, Optional[int]]:
         """Execute the dense strategy for level ``i`` from node ``u``.
 
         Returns ``(walk, cost, found, destination)``; the walk starts at ``u``
-        and, when the destination is not found, ends back at ``u``.
+        and, when the destination is not found, ends back at ``u``.  ``fold``
+        is ``fold_name(target_name)`` when the caller has it already.
         """
         require((u, i) in self.exponent_of, f"level {i} is not dense for node {u}")
         if not self.is_applicable(u, i):
             return [u], 0.0, False, None
         routing = self.home_tree_routing(u, i)
-        result = routing.lookup(u, target_name)
+        result = routing.lookup(u, target_name, fold)
         return list(result.path), result.cost, result.found, result.destination
-
-    def plan_route(self, u: int, i: int, target_name: Hashable
-                   ) -> Tuple[Optional[DictionaryTreeRouting], List[int], bool]:
-        """The waypoints of :meth:`route` without performing the walk.
-
-        Returns ``(routing, targets, found)``: the Lemma 7 lookup waypoints
-        (root, responsible node, then destination or back to ``u``) inside the
-        home tree of level ``i``, or ``(None, [], False)`` when the level is
-        inapplicable — the same case :meth:`route` degrades on.
-        """
-        require((u, i) in self.exponent_of, f"level {i} is not dense for node {u}")
-        if not self.is_applicable(u, i):
-            return None, [], False
-        routing = self.home_tree_routing(u, i)
-        targets, found, _ = routing.plan_lookup(u, target_name)
-        return routing, targets, found

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.construction.context import BuildContext, SPTJob
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.dense_strategy import DenseStrategy
@@ -141,7 +143,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         for i in range(self.k + 1):
             result.phases_used = i + 1
             if self.decomposition.is_dense(source, i):
-                walk, cost, found, _ = self.dense.route(source, i, destination_name)
+                walk, cost, found, _ = self.dense.route(source, i, destination_name,
+                                                        fold)
                 strategy = "dense"
             else:
                 walk, cost, found, _ = self.sparse.route(source, i, destination_name,
@@ -159,7 +162,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         if component is not None:
             self.fallback_uses += 1
             routing = self._fallback[component]
-            lookup = routing.lookup(source, destination_name)
+            lookup = routing.lookup(source, destination_name, fold)
             result.extend(lookup.path)
             result.cost += lookup.cost
             result.notes["fallback_used"] = 1.0
@@ -179,69 +182,129 @@ class AGMRoutingScheme(RoutingSchemeInstance):
 
         Every tree routing can touch — sparse-center Lemma 4 trees, dense
         cover trees with their Lemma 7 dictionaries, the per-component
-        fallback trees — is registered in one :class:`TreeBank`.  Planning a
-        pair replays the level-by-level control flow of :meth:`route` (which
-        strategy, which dictionary hit or missed) without walking; the engine
-        supplies the identical hops as array operations.
+        fallback trees — is registered in one :class:`TreeBank`.  The batch
+        planner replays the level-by-level control flow of :meth:`route`
+        (which strategy, which search or dictionary hit or missed) for a
+        whole batch without walking: one array pass per level over the
+        packets still searching, then one for the fallback.  The engine
+        supplies the identical hops.  The per-``(u, i)`` tables below are
+        built once here; destinations are hashed per batch.
         """
-        from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, mark_terminal, tree_leg)
+        from repro.routing.forwarding import ForwardingProgram, TreeBank
+        from repro.routing.kernels import BatchPlans
+        from repro.trees.error_reporting import DictionaryLookupBank
+        from repro.trees.name_independent import BoundedSearchBank
 
-        bank = TreeBank(self.graph.n)
-        tree_id_of: Dict[int, int] = {}
+        n, k = self.graph.n, self.k
+        bank = TreeBank(n)
+        centers = list(self.sparse.trees)
+        lookups = [routing for routings in self.dense.covers.values()
+                   for routing in routings] + list(self._fallback.values())
+        search_tree = np.asarray([bank.add(self.sparse.trees[c].tree)
+                                  for c in centers], dtype=np.int64)
+        lookup_tree = np.asarray([bank.add(routing.tree) for routing in lookups],
+                                 dtype=np.int64)
+        bank.freeze()
+        searches = BoundedSearchBank([self.sparse.trees[c] for c in centers],
+                                     bank.offsets[search_tree])
+        dictionaries = DictionaryLookupBank(lookups, bank.offsets[lookup_tree])
 
-        def register(routing) -> None:
-            tree_id_of[id(routing)] = bank.add(routing.tree)
-
-        for routing in self.sparse.trees.values():
-            register(routing)
-        for routings in self.dense.covers.values():
-            for routing in routings:
-                register(routing)
-        for routing in self._fallback.values():
-            register(routing)
-
-        names = self.graph.names_view()
-        folds = self.graph.name_folds().tolist()
+        # (n, k+1) level tables: center search / home lookup / bound b(u, i)
+        sparse_index, bound = self.sparse.level_tables(
+            {c: s for s, c in enumerate(centers)})
+        lookup_index = {id(routing): d for d, routing in enumerate(lookups)}
+        dense_index = self.dense.home_table(lookup_index)
+        fallback_index = np.full(n, -1, dtype=np.int64)
+        for v, component in self._fallback_of_node.items():
+            fallback_index[v] = lookup_index[id(self._fallback[component])]
+        is_dense = self.decomposition.dense_table()
+        folds = self.graph.name_folds()
         header = self.header_bits()
-        k = self.k
+        sparse_code, dense_code, fallback_code, not_found_code, local_code = range(5)
+        strategy_names = ["sparse", "dense", "fallback", "not-found", "local"]
 
-        def plan(source: int, destination: int) -> PacketPlan:
-            require(0 <= source < self.graph.n, f"source {source} out of range")
-            if source == destination:
-                return PacketPlan([], "local", 0)
-            target_name = names[destination]
-            legs = []
+        def plan_batch(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+            num = int(src.size)
+            none = np.zeros(0, dtype=np.int64)
+            parts: List[Tuple[np.ndarray, ...]] = [
+                (none, none, none, none.astype(bool), none, none)]
+
+            def emit(packets, trees, targets, found, code, phases):
+                # row r walks tree trees[r] to its targets >= 0, in column
+                # order; a found row's last leg is terminal
+                rows, cols = np.nonzero(targets >= 0)
+                ends = np.cumsum(np.bincount(rows, minlength=packets.size)) - 1
+                terminal = np.zeros(rows.size, dtype=bool)
+                terminal[ends[found]] = True
+                parts.append((packets[rows], trees[rows], targets[rows, cols],
+                              terminal, np.where(terminal, code, -1),
+                              np.where(terminal, phases, 0)))
+
+            searching = np.flatnonzero(src != dst)
             for i in range(k + 1):
-                if self.decomposition.is_dense(source, i):
-                    routing, targets, found = self.dense.plan_route(source, i, target_name)
-                    strategy = "dense"
-                else:
-                    routing, targets, found = self.sparse.plan_route(
-                        source, i, target_name, folds[destination])
-                    strategy = "sparse"
-                if routing is not None and targets:
-                    tree = tree_id_of[id(routing)]
-                    legs.extend(tree_leg(tree, t) for t in targets)
-                    if found:
-                        mark_terminal(legs, strategy, i + 1)
-                        return PacketPlan(legs, "not-found", k + 1)
-            notes = None
-            component = self._fallback_of_node.get(source)
-            if component is not None:
-                self.fallback_uses += 1
-                notes = {"fallback_used": 1.0}
-                routing = self._fallback[component]
-                targets, found, _ = routing.plan_lookup(source, target_name)
-                tree = tree_id_of[id(routing)]
-                legs.extend(tree_leg(tree, t) for t in targets)
-                if found:
-                    mark_terminal(legs, "fallback", k + 1)
-                    return PacketPlan(legs, "not-found", k + 1, notes=notes)
-            return PacketPlan(legs, "not-found", k + 1, notes=notes)
+                if searching.size == 0:
+                    break
+                u, t = src[searching], dst[searching]
+                found = np.zeros(searching.size, dtype=bool)
+                # dense levels: Lemma 7 lookup in the home tree W(u, i)
+                rows = np.flatnonzero(is_dense[u, i])
+                index = dense_index[u[rows], i]
+                rows, index = rows[index >= 0], index[index >= 0]
+                if rows.size:
+                    trees = lookup_tree[index]
+                    targets, hit = dictionaries.waypoints(
+                        index, folds[t[rows]], bank.slots_of(trees, u[rows]),
+                        bank.slots_of(trees, t[rows]))
+                    emit(searching[rows], trees, targets, hit, dense_code, i + 1)
+                    found[rows] = hit
+                # sparse levels: climb to c(u, i), b(u, i)-bounded Lemma 4
+                # search, and back to u on a miss; a level whose tree does
+                # not hold u is skipped, as in SparseStrategy.route
+                rows = np.flatnonzero(~is_dense[u, i])
+                index = sparse_index[u[rows], i]
+                trees = search_tree[index]
+                u_slot = bank.slots_of(trees, u[rows])
+                member = u_slot >= 0
+                rows, index = rows[member], index[member]
+                trees, u_slot = trees[member], u_slot[member]
+                if rows.size:
+                    path, hit = searches.waypoints(
+                        index, folds[t[rows]], bank.slots_of(trees, t[rows]),
+                        bound[u[rows], i])
+                    targets = np.column_stack(
+                        (bank.offsets[trees], path, np.where(hit, -1, u_slot)))
+                    emit(searching[rows], trees, targets, hit, sparse_code, i + 1)
+                    found[rows] = hit
+                searching = searching[~found]
 
-        return ForwardingProgram(self.graph, plan, bank=bank,
-                                 header_bits=header, label="agm")
+            # last-resort fallback of every packet no level found
+            index = fallback_index[src[searching]]
+            fell, index = searching[index >= 0], index[index >= 0]
+            self.fallback_uses += int(fell.size)
+            if fell.size:
+                trees = lookup_tree[index]
+                targets, hit = dictionaries.waypoints(
+                    index, folds[dst[fell]], bank.slots_of(trees, src[fell]),
+                    bank.slots_of(trees, dst[fell]))
+                emit(fell, trees, targets, hit, fallback_code, k + 1)
+
+            out_strategy = np.full(num, not_found_code, dtype=np.int64)
+            out_phases = np.full(num, k + 1, dtype=np.int64)
+            local = src == dst
+            out_strategy[local] = local_code
+            out_phases[local] = 0
+            notes_of: List[Optional[dict]] = [None] * num
+            for p in fell.tolist():
+                notes_of[p] = {"fallback_used": 1.0}
+            packet, tree, slot, terminal, strategy, phases = (
+                np.concatenate(column) for column in zip(*parts))
+            return BatchPlans.from_tree_legs(
+                num, packet, tree, slot, strategy, phases, terminal,
+                out_strategy, out_phases, strategy_names,
+                np.full(num, header, dtype=np.int64), notes_of)
+
+        return ForwardingProgram(self.graph, bank=bank, header_bits=header,
+                                 label="agm", batch_planner=plan_batch)
 
     # ------------------------------------------------------------------ #
     # header accounting

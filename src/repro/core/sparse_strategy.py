@@ -307,6 +307,22 @@ class SparseStrategy:
         """Largest sub-header any sparse-level tree search may need."""
         return max((t.header_bits() for t in self.trees.values()), default=0)
 
+    def level_tables(self, tree_index: Dict[int, int]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tree, bound)`` as ``(n, k+1)`` arrays for the batch planner.
+
+        ``tree[u, i]`` is ``tree_index[c(u, i)]``, the caller's index of the
+        center's Lemma 4 structure, and ``bound[u, i]`` is ``b(u, i)``; both
+        are ``-1`` where level ``i`` is dense for ``u``.
+        """
+        shape = (self.graph.n, self.k + 1)
+        tree = np.full(shape, -1, dtype=np.int64)
+        bound = np.full(shape, -1, dtype=np.int64)
+        for (u, i), c in self.center_of.items():
+            tree[u, i] = tree_index[c]
+            bound[u, i] = self.bound_of[(u, i)]
+        return tree, bound
+
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
@@ -346,30 +362,6 @@ class SparseStrategy:
         down = tree.path(c, u)
         walk, cost = _extend_walk(walk, cost, down, tree)
         return walk, cost, False, None
-
-    def plan_route(self, u: int, i: int, target_name: Hashable,
-                   fold: Optional[int] = None
-                   ) -> Tuple[Optional[NameIndependentTreeRouting], List[int], bool]:
-        """The waypoints of :meth:`route` without performing the walk.
-
-        Returns ``(routing, targets, found)``; ``targets`` lists the tree
-        nodes the walk heads for in order (the center, then the bounded
-        search's waypoints, then back to ``u`` on a miss) inside
-        ``routing``'s tree.  ``routing`` is ``None`` when the level cannot
-        walk at all (the same defensive case :meth:`route` degrades on).
-        """
-        require((u, i) in self.center_of, f"level {i} is not sparse for node {u}")
-        c = self.center_of[(u, i)]
-        routing = self.trees[c]
-        if not routing.tree.contains(u):
-            return None, [], False
-        targets = [c]
-        search_targets, found, _ = routing.plan_search_from_root(
-            target_name, j_bound=self.bound_of[(u, i)], fold=fold)
-        targets.extend(search_targets)
-        if not found:
-            targets.append(u)
-        return routing, targets, found
 
 
 def routing_max_digits(routing: NameIndependentTreeRouting) -> int:

@@ -70,6 +70,31 @@ def horner_mod_p(coefficients: np.ndarray, folds: np.ndarray) -> np.ndarray:
     ``folds`` a ``uint64`` array of points in ``[0, p)``.  Returns the
     ``(F, len(folds))`` array of values, equal to the scalar Horner loop
     ``acc = (acc * x + a) % p`` of :meth:`KWiseHash.value_of_fold`.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    x = np.asarray(folds, dtype=np.uint64)[np.newaxis, :]
+    acc = np.repeat(coefficients[:, -1:], x.shape[1], axis=1)
+    return _horner(acc, x, (a[:, np.newaxis]
+                            for a in coefficients[:, -2::-1].T))
+
+
+def horner_mod_p_rows(coefficients: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`horner_mod_p`: polynomial ``r`` evaluated at ``folds[r]``.
+
+    ``coefficients`` is ``(R, t)`` and ``folds`` has ``R`` entries, so a
+    batch of names can each be hashed with its own function (the batch
+    planner hashes every packet's destination with its own tree's hash).
+    Rows of polynomials with fewer than ``t`` coefficients are padded with
+    leading zeros, which leaves their values unchanged.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    acc = coefficients[:, -1].copy()
+    return _horner(acc, np.asarray(folds, dtype=np.uint64),
+                   coefficients[:, -2::-1].T)
+
+
+def _horner(acc: np.ndarray, x: np.ndarray, columns) -> np.ndarray:
+    """The Horner steps ``acc = acc * x + a (mod p)``, one per column ``a``.
 
     Products stay inside ``uint64`` by 32-bit limbs: with
     ``a = a1 2^32 + a0`` and ``x = x1 2^32 + x0``,
@@ -82,17 +107,14 @@ def horner_mod_p(coefficients: np.ndarray, folds: np.ndarray) -> np.ndarray:
     ``2^63.5``, and one conditional subtraction at the end lands in
     ``[0, p)``.
     """
-    coefficients = np.asarray(coefficients, dtype=np.uint64)
-    x = np.asarray(folds, dtype=np.uint64)[np.newaxis, :]
     x_hi, x_lo = x >> _U32, x & _LOW32
-    acc = np.repeat(coefficients[:, -1:], x.shape[1], axis=1)
-    for a in coefficients[:, -2::-1].T:
+    for a in columns:
         a_hi, a_lo = acc >> _U32, acc & _LOW32
         mid = a_hi * x_lo + a_lo * x_hi          # < 2^63
         low = a_lo * x_lo                        # < 2^64
         acc = ((a_hi * x_hi) << _U3) + (mid >> _U29) \
             + ((mid & _LOW29) << _U32) + (low & _P) + (low >> _U61) \
-            + a[:, np.newaxis]                   # < 2^62 + 3 * 2^61 + 2^35
+            + a                                  # < 2^62 + 3 * 2^61 + 2^35
         acc = (acc & _P) + (acc >> _U61)          # < p + 7
     acc[acc >= _P] -= _P
     return acc
@@ -173,14 +195,18 @@ class DigitHash:
         functions = self._functions if length is None else self._functions[:length]
         return tuple(f.value_of_fold(x) % sigma for f in functions)
 
+    def coefficient_matrix(self) -> np.ndarray:
+        """``(length, t)`` ``uint64`` array: row ``l`` holds digit ``l``'s coefficients."""
+        return np.asarray([f.coefficients for f in self._functions],
+                          dtype=np.uint64)
+
     def digit_array(self, folds: np.ndarray) -> np.ndarray:
         """Batched :meth:`digits`: row ``r`` is the digit string of ``folds[r]``.
 
         Returns an ``(len(folds), length)`` ``int64`` array.
         """
-        coefficients = np.asarray([f.coefficients for f in self._functions],
-                                  dtype=np.uint64)
-        values = horner_mod_p(coefficients, folds) % np.uint64(self.sigma)
+        values = horner_mod_p(self.coefficient_matrix(), folds) \
+            % np.uint64(self.sigma)
         return values.T.astype(np.int64)
 
     def prefix(self, name: Hashable, j: int) -> Tuple[int, ...]:
@@ -212,9 +238,18 @@ class BucketHash:
         self.num_buckets = int(num_buckets)
         self._f = KWiseHash(independence, seed=seed)
 
-    def bucket(self, name: Hashable) -> int:
-        """Bucket index of ``name`` in ``[0, num_buckets)``."""
-        return self._f.value(name) % self.num_buckets
+    @property
+    def coefficients(self) -> List[int]:
+        """The hash polynomial's coefficients ``a_0 .. a_{t-1}``."""
+        return self._f.coefficients
+
+    def bucket(self, name: Hashable, fold: Optional[int] = None) -> int:
+        """Bucket index of ``name`` in ``[0, num_buckets)``.
+
+        ``fold`` is ``fold_name(name)`` when the caller has it already.
+        """
+        x = fold_name(name) if fold is None else int(fold)
+        return self._f.value_of_fold(x) % self.num_buckets
 
     def buckets(self, folds: np.ndarray) -> np.ndarray:
         """Batched :meth:`bucket` over a ``uint64`` fold array (``int64`` out)."""

@@ -18,9 +18,10 @@ Building blocks:
   array (``key = node * n + dest``); hop-by-hop table phases (shortest-path
   tables, Cowen cluster routing) cost one ``searchsorted`` per step for the
   whole batch.
-* :class:`ForwardingProgram` — a per-scheme *planner* that turns one
-  (source, destination) request into a short list of **legs** (tree walks /
-  table phases) plus result metadata.  Planning mirrors the scalar control
+* :class:`ForwardingProgram` — a per-scheme *planner* that turns
+  (source, destination) requests into short lists of **legs** (tree walks /
+  table phases) plus result metadata, either a whole batch at once as
+  arrays or one request at a time.  Planning mirrors the scalar control
   flow exactly (which trees are searched, where dictionaries report misses)
   but never walks; the fused cohort kernels (:mod:`repro.routing.kernels`)
   then execute all legs of a batch at once.
@@ -613,34 +614,42 @@ class _DenseTableView:
 class ForwardingProgram:
     """A scheme's routing state compiled for the lockstep engine.
 
-    ``planner(source, destination)`` must return a :class:`PacketPlan` whose
-    legs reference only trees registered in ``bank`` and tables in
-    ``tables``.  The plan mirrors the scalar control flow; the engine supplies
-    the hops.
+    A program plans packets with exactly one of two planners.  A
+    ``batch_planner(src, dst)`` plans a whole batch as arrays and returns a
+    :class:`~repro.routing.kernels.BatchPlans`; shortest-path, Cowen and AGM
+    compile one.  Otherwise ``planner(source, destination)`` returns one
+    :class:`PacketPlan` per packet, and :func:`~repro.routing.kernels.flatten_plans`
+    flattens them.  Either way the legs reference only trees registered in
+    ``bank`` and tables in ``tables``, and mirror the scalar control flow;
+    the engine supplies the hops.
     """
 
     def __init__(self, graph: WeightedGraph,
-                 planner: Callable[[int, int], PacketPlan],
+                 planner: Optional[Callable[[int, int], PacketPlan]] = None,
                  bank: Optional[TreeBank] = None,
                  tables: Sequence[NextHopTable] = (),
                  header_bits: int = 0,
                  label: str = "",
                  batch_planner: Optional[Callable] = None) -> None:
+        require((planner is None) != (batch_planner is None),
+                "a forwarding program takes exactly one of planner and "
+                "batch_planner")
         self.graph = graph
         self._planner = planner
         self.bank = (bank if bank is not None else TreeBank(graph.n)).freeze()
         self.tables = list(tables)
         self.header_bits = int(header_bits)
         self.label = label
-        #: optional vectorized planner ``(src, dst) -> kernels.BatchPlans``;
-        #: when set, the fused engine plans whole batches without ever
-        #: instantiating per-packet :class:`PacketPlan` objects.  It must
-        #: produce exactly the legs ``plan()`` would (the parity suite
-        #: asserts walk-identical outcomes).
+        #: vectorized planner ``(src, dst) -> kernels.BatchPlans``; the fused
+        #: engine then plans whole batches without per-packet
+        #: :class:`PacketPlan` objects.  Its legs must produce walks equal
+        #: to the scalar ``route()``'s (the parity suite asserts it).
         self.batch_planner = batch_planner
 
     def plan(self, source: int, destination: int) -> PacketPlan:
         """Plan the legs of one request (both endpoints are node indices)."""
+        require(self._planner is not None,
+                f"program {self.label!r} plans whole batches only")
         return self._planner(source, destination)
 
     def invalidate_caches(self) -> None:

@@ -212,12 +212,13 @@ def _table_runs_py(flat, n, start_nodes, dests, budget0):  # pragma: no cover - 
 class BatchPlans:
     """The flattened plans of one packet batch in structure-of-arrays form.
 
-    The arrays :func:`flatten_plans` builds from a list of
-    :class:`~repro.routing.forwarding.PacketPlan` objects, which a scheme
-    can instead supply **vectorized** (a ``batch_planner``) without ever
-    instantiating per-packet plan objects.  The executor takes ownership of
-    the arrays (it mutates ``out_strategy`` / ``out_phases`` in place), so
-    planners must build fresh arrays per batch.
+    Schemes with a vectorized ``batch_planner`` — shortest-path, Cowen and
+    AGM — build these arrays directly, without per-packet plan objects;
+    :func:`flatten_plans` builds them from per-packet
+    :class:`~repro.routing.forwarding.PacketPlan` objects for the others.
+    The executor takes ownership of the arrays (it mutates
+    ``out_strategy`` / ``out_phases`` in place), so planners must build
+    fresh arrays per batch.
     """
 
     __slots__ = ("num", "leg_kind", "leg_a", "leg_b", "leg_strategy",
@@ -249,12 +250,44 @@ class BatchPlans:
         self.notes_of = notes_of if notes_of is not None else [None] * self.num
         self.strategy_names = strategy_names
 
+    @classmethod
+    def from_tree_legs(cls, num: int, packet: np.ndarray, tree: np.ndarray,
+                       slot: np.ndarray, strategy: np.ndarray,
+                       phases: np.ndarray, terminal: np.ndarray,
+                       out_strategy: np.ndarray, out_phases: np.ndarray,
+                       strategy_names: List[str], header_bits: np.ndarray,
+                       notes_of: Optional[List[Optional[dict]]] = None
+                       ) -> "BatchPlans":
+        """Plans made only of tree legs, listed per packet in walk order.
+
+        Leg ``e`` walks tree ``tree[e]`` to slot ``slot[e]`` for packet
+        ``packet[e]``.  Packets may interleave, but each packet's legs must
+        appear in the order its walk takes them; a stable sort by packet
+        groups them.
+        """
+        from repro.routing.forwarding import LEG_TREE
+
+        order = np.argsort(packet, kind="stable")
+        counts = np.bincount(packet, minlength=num)
+        leg_lo = np.zeros(num, dtype=np.int64)
+        np.cumsum(counts[:-1], out=leg_lo[1:])
+        return cls(num=num,
+                   leg_kind=np.full(order.size, LEG_TREE, dtype=np.int8),
+                   leg_a=tree[order], leg_b=slot[order],
+                   leg_strategy=strategy[order], leg_phases=phases[order],
+                   leg_terminal=terminal[order],
+                   leg_lo=leg_lo, leg_hi=leg_lo + counts,
+                   out_strategy=out_strategy, out_phases=out_phases,
+                   strategy_names=strategy_names, header_bits=header_bits,
+                   notes_of=notes_of)
+
 
 def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
     """Flatten per-packet ``program.plan()`` calls into a :class:`BatchPlans`.
 
-    The generic path for schemes without a vectorized batch planner,
-    including the tree-target slot patching via ``bank.slots_of``.
+    The path of the schemes without a vectorized batch planner —
+    Thorup–Zwick, Awerbuch–Peleg and the exponential stand-in — including
+    the tree-target slot patching via ``bank.slots_of``.
     """
     from repro.routing.forwarding import LEG_TREE
 

@@ -32,12 +32,12 @@ the bit budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import BucketHash, fold_names
+from repro.hashing.universal import BucketHash, fold_names, horner_mod_p_rows
 from repro.trees.interval_routing import IntervalTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import require
@@ -88,9 +88,12 @@ class DictionaryTreeRouting:
     # ------------------------------------------------------------------ #
     # structure queries
     # ------------------------------------------------------------------ #
-    def responsible_node(self, name: Hashable) -> int:
-        """The tree node responsible for storing ``name``'s dictionary entry."""
-        return self._dfs_order[self.bucket_hash.bucket(name)]
+    def responsible_node(self, name: Hashable, fold: Optional[int] = None) -> int:
+        """The tree node responsible for storing ``name``'s dictionary entry.
+
+        ``fold`` is ``fold_name(name)`` when the caller has it already.
+        """
+        return self._dfs_order[self.bucket_hash.bucket(name, fold)]
 
     def max_bucket_entries(self) -> int:
         """Largest dictionary bucket (w.h.p. ``O(log n / log log n)``)."""
@@ -136,12 +139,14 @@ class DictionaryTreeRouting:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def lookup(self, source: int, target_name: Hashable) -> DictionaryLookupResult:
+    def lookup(self, source: int, target_name: Hashable,
+               fold: Optional[int] = None) -> DictionaryLookupResult:
         """Route from tree node ``source`` to the node named ``target_name``.
 
         The walk is source → root → responsible node → destination.  If the
         name is not stored (the destination is not in this tree) the walk
         returns to ``source`` and ``found`` is ``False`` — the error report.
+        ``fold`` is ``fold_name(target_name)`` when the caller has it already.
         """
         require(self.tree.contains(source), f"source {source} is not in the tree")
         result = DictionaryLookupResult(found=False, path=[source], cost=0.0)
@@ -149,7 +154,7 @@ class DictionaryTreeRouting:
         # leg 1: climb to the root (the paper's dense strategy also starts at the root)
         self._walk_to_label(result, self.interval.label_of(self.tree.root))
         # leg 2: descend to the responsible node
-        responsible = self.responsible_node(target_name)
+        responsible = self.responsible_node(target_name, fold)
         self._walk_to_label(result, self.interval.label_of(responsible))
         # leg 3: the responsible node either knows the destination or reports a miss
         entry = self.buckets[responsible].get(target_name)
@@ -167,7 +172,8 @@ class DictionaryTreeRouting:
         """Lookup starting at the root (used when the caller already routed there)."""
         return self.lookup(self.tree.root, target_name)
 
-    def plan_lookup(self, source: int, target_name: Hashable
+    def plan_lookup(self, source: int, target_name: Hashable,
+                    fold: Optional[int] = None
                     ) -> Tuple[List[int], bool, Optional[int]]:
         """The waypoints of :meth:`lookup` without performing the walk.
 
@@ -178,7 +184,7 @@ class DictionaryTreeRouting:
         tree leg; the resulting walk is identical to :meth:`lookup`'s.
         """
         require(self.tree.contains(source), f"source {source} is not in the tree")
-        responsible = self.responsible_node(target_name)
+        responsible = self.responsible_node(target_name, fold)
         targets = [self.tree.root, responsible]
         entry = self.buckets[responsible].get(target_name)
         if entry is None:
@@ -196,3 +202,51 @@ class DictionaryTreeRouting:
         else:
             result.path.extend(seg)
         result.cost += cost
+
+
+class DictionaryLookupBank:
+    """The Lemma 7 lookups of many dictionary trees, planned as arrays.
+
+    Entry ``d`` stands for ``routings[d]``, whose tree occupies the slots
+    from ``offsets[d]`` of a compiled
+    :class:`~repro.routing.forwarding.TreeBank` (slot = offset + DFS-in
+    number).  :meth:`waypoints` gives the targets of
+    :meth:`DictionaryTreeRouting.plan_lookup` for a whole batch: each row
+    hashes its destination with its own tree's bucket hash, and the
+    responsible node's slot is the offset plus the bucket, because buckets
+    are DFS-in numbers.  Only the hash coefficients and tree sizes are
+    kept, so memory does not grow with the number of packets or names.
+    """
+
+    def __init__(self, routings: Sequence[DictionaryTreeRouting],
+                 offsets: np.ndarray) -> None:
+        self._offset = np.asarray(offsets, dtype=np.int64)
+        self._m = np.asarray([r.m for r in routings], dtype=np.uint64)
+        width = max((len(r.bucket_hash.coefficients) for r in routings),
+                    default=1)
+        self._coefficients = np.zeros((len(routings), width), dtype=np.uint64)
+        for d, routing in enumerate(routings):
+            coefficients = routing.bucket_hash.coefficients
+            self._coefficients[d, :len(coefficients)] = coefficients
+
+    def waypoints(self, index: np.ndarray, folds: np.ndarray,
+                  source_slots: np.ndarray, target_slots: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(targets, found)`` of one lookup per row.
+
+        Row ``r`` looks up, in tree ``index[r]``, the destination whose name
+        folds to ``folds[r]`` and which sits at ``target_slots[r]`` (``-1``
+        when it is not a member) from the source at ``source_slots[r]``.
+        ``targets`` is ``(R, 3)``: the root, the responsible node, then the
+        destination on a hit or the source on a miss, all as bank slots.
+        A member's name is always in its own bucket, so the lookup hits
+        exactly when the destination is a member.
+        """
+        offset = self._offset[index]
+        bucket = horner_mod_p_rows(self._coefficients[index], folds) \
+            % self._m[index]
+        found = target_slots >= 0
+        targets = np.stack([offset, offset + bucket.astype(np.int64),
+                            np.where(found, target_slots, source_slots)],
+                           axis=1)
+        return targets, found

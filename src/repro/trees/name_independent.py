@@ -63,7 +63,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import DigitHash, fold_names
+from repro.hashing.universal import DigitHash, fold_names, horner_mod_p_rows
 from repro.trees.compact_labeled import CompactTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import require
@@ -378,49 +378,6 @@ class NameIndependentTreeRouting:
         result.destination = None
         return result
 
-    def plan_search_from_root(self, target_name: Hashable,
-                              j_bound: Optional[int] = None,
-                              fold: Optional[int] = None
-                              ) -> Tuple[List[int], bool, Optional[int]]:
-        """The waypoints of :meth:`search_from_root` without performing the walk.
-
-        Returns ``(targets, found, destination)``: the sequence of tree nodes
-        the bounded search heads for in order (trie children along the hash
-        digits, then the destination once some dictionary knows it, or back
-        to the root on a miss).  Mirrors :meth:`search_from_root` decision for
-        decision, so the compiled-forwarding walk over these waypoints is
-        identical to the scalar search walk.
-        """
-        root = self.tree.root
-        if j_bound is None:
-            j_bound = max(self.max_digits, 1)
-        j_bound = max(1, int(j_bound))
-        targets: List[int] = []
-        target_hash: Optional[Tuple[int, ...]] = None
-        target_node = self.name_to_node.get(target_name)
-        stride, sigma = self._stride, self.sigma
-        current = root
-        for round_no in range(1, j_bound + 1):
-            if self.names[current] == target_name:
-                return targets, True, current
-            if target_node is not None \
-                    and current * stride + target_node in self._dict_entry:
-                targets.append(target_node)
-                return targets, True, target_node
-            if round_no == j_bound:
-                break
-            if target_hash is None:
-                target_hash = self._descent_digits(target_name, j_bound, fold)
-            digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
-            child = self._trie_child.get(current * sigma + digit)
-            if child is None:
-                break
-            targets.append(child)
-            current = child
-        if current != root:
-            targets.append(root)
-        return targets, False, None
-
     def _descent_digits(self, target_name: Hashable, j_bound: int,
                         fold: Optional[int]) -> Tuple[int, ...]:
         """The hash digits a ``j_bound``-bounded search can descend along.
@@ -440,3 +397,117 @@ class NameIndependentTreeRouting:
         else:
             result.path.extend(segment)
         result.cost += cost
+
+
+class BoundedSearchBank:
+    """The ``j``-bounded searches of many Lemma 4 structures, planned as arrays.
+
+    Entry ``s`` stands for ``routings[s]``, whose tree occupies the slots
+    from ``offsets[s]`` of a compiled
+    :class:`~repro.routing.forwarding.TreeBank` (slot = offset + DFS-in
+    number).  :meth:`waypoints` gives the waypoints of
+    :meth:`NameIndependentTreeRouting.search_from_root` for a whole batch,
+    one trie depth at a time.  It uses the arithmetic the build stores its
+    tables by:
+
+    * the search at trie depth ``l`` stands on the node of rank
+      ``start[l] + base_sigma(h(t)[:l])`` (if that rank exists), so one
+      descent step is one hash digit per row;
+    * that node holds the dictionary entry of every member ``t`` with at
+      most ``l + 1`` primary digits, so the search finds ``t`` at depth
+      ``max(digits(t) - 1, 0)``.
+
+    Each row hashes its destination with its own tree's digit functions
+    (:func:`horner_mod_p_rows`), only for the depths it descends through.
+    Kept per tree: the hash coefficients and two arrays of the tree's size
+    (rank to slot, and primary-name length by DFS-in number).
+    """
+
+    def __init__(self, routings: Sequence[NameIndependentTreeRouting],
+                 offsets: np.ndarray) -> None:
+        count = len(routings)
+        self._offset = np.asarray(offsets, dtype=np.int64)
+        self._m = np.asarray([r.m for r in routings], dtype=np.int64)
+        self._sigma = np.asarray([r.sigma for r in routings], dtype=np.int64)
+        #: start of each tree's entries in the two flat per-node arrays
+        self._base = np.concatenate(([0], np.cumsum(self._m)[:-1])) if count \
+            else np.zeros(0, dtype=np.int64)
+        rank_slot: List[np.ndarray] = []
+        level_by_dfs: List[np.ndarray] = []
+        coefficients = [r.digit_hash.coefficient_matrix() for r in routings]
+        length = max((c.shape[0] for c in coefficients), default=1)
+        width = max((c.shape[1] for c in coefficients), default=1)
+        self._coefficients = np.zeros((count, length, width), dtype=np.uint64)
+        for s, (routing, offset) in enumerate(zip(routings, self._offset)):
+            dfs_in = routing.tree.dfs_in_array()
+            rank_slot.append(offset + dfs_in[routing._local_of_rank])
+            levels = np.empty(routing.m, dtype=np.int64)
+            levels[dfs_in] = routing.digits_array()
+            level_by_dfs.append(levels)
+            c = coefficients[s]
+            self._coefficients[s, :c.shape[0], :c.shape[1]] = c
+
+        def cat(parts: List[np.ndarray]) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+        self._rank_slot = cat(rank_slot)
+        self._level_by_dfs = cat(level_by_dfs)
+
+    def waypoints(self, index: np.ndarray, folds: np.ndarray,
+                  target_slots: np.ndarray, bounds: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(targets, found)`` of one bounded search from the root per row.
+
+        Row ``r`` searches tree ``index[r]`` with bound ``bounds[r]`` for the
+        destination whose name folds to ``folds[r]`` and which sits at
+        ``target_slots[r]`` (``-1`` when it is not a member).  ``targets``
+        holds the bank slots the walk heads for, in order along each row,
+        with ``-1`` in unused cells: the trie nodes of the descent, then the
+        destination on a hit (unless it is the root) or the root on a miss
+        that left it.
+        """
+        rows_total = index.size
+        offset = self._offset[index]
+        inside = target_slots >= 0
+        local = np.where(inside, target_slots - offset, 0)
+        digits = np.where(inside, self._level_by_dfs[self._base[index] + local], 0)
+        #: trie depth at which the destination's dictionary entry is met
+        hit_depth = np.maximum(digits - 1, 0)
+        #: deepest trie depth the search may descend to (round j never descends)
+        limit = np.maximum(bounds, 1) - 1
+        width = int(limit.max(initial=0))
+        targets = np.full((rows_total, width + 1), -1, dtype=np.int64)
+        depth = np.zeros(rows_total, dtype=np.int64)
+
+        rows = np.flatnonzero(~(inside & (hit_depth == 0)) & (limit > 0))
+        start = np.zeros(rows.size, dtype=np.int64)     # start[l] of the level
+        power = np.ones(rows.size, dtype=np.int64)      # sigma ** l
+        prefix = np.zeros(rows.size, dtype=np.int64)    # base_sigma(h(t)[:l])
+        for level in range(width):
+            if rows.size == 0:
+                break
+            trees = index[rows]
+            sigma = self._sigma[trees]
+            digit = horner_mod_p_rows(self._coefficients[trees, level],
+                                      folds[rows]) % sigma.astype(np.uint64)
+            start = start + power
+            power = power * sigma
+            prefix = prefix * sigma + digit.astype(np.int64)
+            rank = start + prefix
+            exists = rank < self._m[trees]
+            rows, start, power = rows[exists], start[exists], power[exists]
+            prefix, rank = prefix[exists], rank[exists]
+            targets[rows, level] = self._rank_slot[self._base[index[rows]] + rank]
+            depth[rows] = level + 1
+            more = ~(inside[rows] & (hit_depth[rows] <= level + 1)) \
+                & (limit[rows] > level + 1)
+            rows, start, power, prefix = \
+                rows[more], start[more], power[more], prefix[more]
+
+        found = inside & (hit_depth <= depth)
+        last = targets[:, width]
+        hit = found & (digits > 0)
+        last[hit] = target_slots[hit]
+        back = ~found & (depth > 0)
+        last[back] = offset[back]
+        return targets, found

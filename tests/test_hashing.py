@@ -7,7 +7,7 @@ import pytest
 
 from repro.graphs.graph import WeightedGraph
 from repro.hashing.universal import (BucketHash, DigitHash, KWiseHash,
-                                     fold_name, fold_names)
+                                     fold_name, fold_names, horner_mod_p_rows)
 
 
 class TestKWiseHash:
@@ -155,6 +155,23 @@ class TestBatchedHorner:
         bh = BucketHash(13, seed=4)
         assert bh.buckets(fold_names(MIXED_NAMES)).tolist() == \
             [bh.bucket(name) for name in MIXED_NAMES]
+        assert [bh.bucket(name, fold_name(name)) for name in MIXED_NAMES] == \
+            [bh.bucket(name) for name in MIXED_NAMES]
+
+    def test_row_wise_horner_matches_each_rows_own_function(self):
+        # every row its own polynomial, shorter ones zero-padded at the
+        # high-degree end, including the limb- and field-edge operands
+        functions = [KWiseHash(t, seed=t) for t in (1, 3, 8, 11)]
+        functions[2].coefficients = [_P - 1] * 8
+        folds = np.concatenate([fold_names(MIXED_NAMES),
+                                np.asarray(EDGE_OPERANDS, dtype=np.uint64)])
+        rows = np.arange(folds.size) % len(functions)
+        coefficients = np.zeros((folds.size, 11), dtype=np.uint64)
+        for r, f in enumerate(rows.tolist()):
+            coefficients[r, :functions[f].independence] = functions[f].coefficients
+        expected = [functions[f].value_of_fold(int(x))
+                    for f, x in zip(rows.tolist(), folds.tolist())]
+        assert horner_mod_p_rows(coefficients, folds).tolist() == expected
 
 
 class TestGraphNameFolds:
