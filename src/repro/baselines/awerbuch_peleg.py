@@ -102,37 +102,19 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
     # ------------------------------------------------------------------ #
     def compile_forwarding(self):
         """Compile every scale's cover trees; plan the scale-by-scale search."""
-        from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, mark_terminal, tree_leg)
+        from repro.routing.kernels import level_lookup_program
 
-        bank = TreeBank(self.graph.n)
-        tree_id_of = {}
-        for routings in self.scales:
-            for routing in routings:
-                tree_id_of[id(routing)] = bank.add(routing.tree)
-        names = self.graph.names_view()
-        header = self.header_bits()
-
-        def plan(source: int, destination: int) -> PacketPlan:
-            if source == destination:
-                return PacketPlan([], "awerbuch-peleg", 0)
-            target_name = names[destination]
-            legs = []
-            for scale in range(self.num_scales):
-                index = self.home[scale].get(source)
-                if index is None:
-                    continue
-                routing = self.scales[scale][index]
-                targets, found, _ = routing.plan_lookup(source, target_name)
-                tree = tree_id_of[id(routing)]
-                legs.extend(tree_leg(tree, t) for t in targets)
-                if found:
-                    mark_terminal(legs, "awerbuch-peleg", scale + 1)
-                    return PacketPlan(legs, "awerbuch-peleg", 0)
-            return PacketPlan(legs, "awerbuch-peleg", self.num_scales)
-
-        return ForwardingProgram(self.graph, plan, bank=bank,
-                                 header_bits=header, label="awerbuch-peleg")
+        # home[scale, v]: index into the flat routing list of v's home tree
+        home = np.full((self.num_scales, self.graph.n), -1, dtype=np.int64)
+        first = 0
+        for scale, routings in enumerate(self.scales):
+            nodes = np.fromiter(self.home[scale].keys(), dtype=np.int64)
+            index = np.fromiter(self.home[scale].values(), dtype=np.int64)
+            home[scale, nodes] = first + index
+            first += len(routings)
+        return level_lookup_program(
+            self.graph, [r for routings in self.scales for r in routings],
+            home, "awerbuch-peleg", self.header_bits())
 
     # ------------------------------------------------------------------ #
     # routing

@@ -128,35 +128,17 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
     # ------------------------------------------------------------------ #
     def compile_forwarding(self):
         """Compile the responsibility trees; plan the level-by-level search."""
-        from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, mark_terminal, tree_leg)
+        from repro.routing.kernels import level_lookup_program
 
-        bank = TreeBank(self.graph.n)
-        tree_id_of = {key: bank.add(routing.tree)
-                      for key, routing in self._tree_key.items()}
-        names = self.graph.names_view()
-        header = self.header_bits()
-
-        def plan(source: int, destination: int) -> PacketPlan:
-            if source == destination:
-                return PacketPlan([], "exponential", 0)
-            target_name = names[destination]
-            legs = []
-            for i in range(self.k):
-                landmark = self.nearest[i][source]
-                routing = self._tree_key.get((i, landmark))
-                if routing is None or not routing.tree.contains(source):
-                    continue
-                targets, found, _ = routing.plan_lookup(source, target_name)
-                tree = tree_id_of[(i, landmark)]
-                legs.extend(tree_leg(tree, t) for t in targets)
-                if found:
-                    mark_terminal(legs, "exponential", i + 1)
-                    return PacketPlan(legs, "exponential", 0)
-            return PacketPlan(legs, "exponential", self.k)
-
-        return ForwardingProgram(self.graph, plan, bank=bank,
-                                 header_bits=header, label="exponential")
+        # home[i, u]: the tree of u's nearest level-i landmark, or -1
+        index_of = np.full((self.k, self.graph.n), -1, dtype=np.int64)
+        for d, (i, w) in enumerate(self._tree_key):
+            index_of[i, w] = d
+        nearest = np.asarray(self.nearest, dtype=np.int64)
+        home = np.take_along_axis(index_of, nearest, axis=1)
+        return level_lookup_program(
+            self.graph, list(self._tree_key.values()), home, "exponential",
+            self.header_bits())
 
     # ------------------------------------------------------------------ #
     # routing

@@ -263,34 +263,50 @@ class ThorupZwickRouting(RoutingSchemeInstance):
     def compile_forwarding(self):
         """Compile every pivot cluster tree into one tree bank.
 
-        Planning replays the level/pivot selection of :meth:`route` (pure
-        dict/membership checks); the single resulting leg is the unique tree
-        path to the destination, which is exactly the scalar walk.
+        The batch planner replays the level/pivot selection of
+        :meth:`route` as array passes: level by level, the destination's
+        pivot tree and then the source's, each pass a membership test of
+        both endpoints over the packets still searching.  The first hit is
+        the single leg, the unique tree path to the destination, which is
+        exactly the scalar walk.
         """
-        from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, tree_leg)
+        from repro.routing.forwarding import ForwardingProgram, TreeBank
+        from repro.routing.kernels import BatchPlans, TreeLegs
 
-        bank = TreeBank(self.graph.n)
-        tree_id_of = {key: bank.add(routing.tree)
-                      for key, routing in self._trees.items()}
+        n, k = self.graph.n, self.k
+        bank = TreeBank(n)
+        # tree_of[i, w]: bank id of pivot w's level-i cluster tree, or -1
+        tree_of = np.full((k, n), -1, dtype=np.int64)
+        for (i, w), routing in self._trees.items():
+            tree_of[i, w] = bank.add(routing.tree)
+        bank.freeze()
+        pivot = np.asarray(self.pivot, dtype=np.int64)
         header = self.header_bits()
 
-        def plan(source: int, destination: int) -> PacketPlan:
-            if source == destination:
-                return PacketPlan([], "thorup-zwick", 0)
-            for i in range(self.k):
-                for w in (self.pivot[i][destination], self.pivot[i][source]):
-                    routing = self._trees.get((i, w))
-                    if routing is None:
-                        continue
-                    if routing.tree.contains(source) and routing.tree.contains(destination):
-                        leg = tree_leg(tree_id_of[(i, w)], destination,
-                                       "thorup-zwick", i + 1, terminal=True)
-                        return PacketPlan([leg], "thorup-zwick", 0)
-            return PacketPlan([], "thorup-zwick", 0)
+        def plan_batch(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+            num = int(src.size)
+            legs = TreeLegs()
+            searching = np.flatnonzero(src != dst)
+            for i in range(k):
+                for side in (dst, src):
+                    if searching.size == 0:
+                        break
+                    trees = tree_of[i, pivot[i, side[searching]]]
+                    rows = np.flatnonzero(trees >= 0)
+                    trees = trees[rows]
+                    target = bank.slots_of(trees, dst[searching[rows]])
+                    hit = (target >= 0) & (
+                        bank.slots_of(trees, src[searching[rows]]) >= 0)
+                    rows = rows[hit]
+                    legs.add(searching[rows], trees[hit], target[hit, None],
+                             np.ones(rows.size, dtype=bool), 0, i + 1)
+                    searching = np.delete(searching, rows)
+            return legs.plans(num, np.zeros(num, dtype=np.int64),
+                              np.zeros(num, dtype=np.int64), ["thorup-zwick"],
+                              np.full(num, header, dtype=np.int64))
 
-        return ForwardingProgram(self.graph, plan, bank=bank,
-                                 header_bits=header, label="thorup-zwick")
+        return ForwardingProgram(self.graph, bank=bank, header_bits=header,
+                                 label="thorup-zwick", batch_planner=plan_batch)
 
     # ------------------------------------------------------------------ #
     # routing

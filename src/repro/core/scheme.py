@@ -191,7 +191,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         built once here; destinations are hashed per batch.
         """
         from repro.routing.forwarding import ForwardingProgram, TreeBank
-        from repro.routing.kernels import BatchPlans
+        from repro.routing.kernels import BatchPlans, TreeLegs
         from repro.trees.error_reporting import DictionaryLookupBank
         from repro.trees.name_independent import BoundedSearchBank
 
@@ -225,20 +225,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
 
         def plan_batch(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
             num = int(src.size)
-            none = np.zeros(0, dtype=np.int64)
-            parts: List[Tuple[np.ndarray, ...]] = [
-                (none, none, none, none.astype(bool), none, none)]
-
-            def emit(packets, trees, targets, found, code, phases):
-                # row r walks tree trees[r] to its targets >= 0, in column
-                # order; a found row's last leg is terminal
-                rows, cols = np.nonzero(targets >= 0)
-                ends = np.cumsum(np.bincount(rows, minlength=packets.size)) - 1
-                terminal = np.zeros(rows.size, dtype=bool)
-                terminal[ends[found]] = True
-                parts.append((packets[rows], trees[rows], targets[rows, cols],
-                              terminal, np.where(terminal, code, -1),
-                              np.where(terminal, phases, 0)))
+            legs = TreeLegs()
 
             searching = np.flatnonzero(src != dst)
             for i in range(k + 1):
@@ -255,7 +242,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
                     targets, hit = dictionaries.waypoints(
                         index, folds[t[rows]], bank.slots_of(trees, u[rows]),
                         bank.slots_of(trees, t[rows]))
-                    emit(searching[rows], trees, targets, hit, dense_code, i + 1)
+                    legs.add(searching[rows], trees, targets, hit, dense_code,
+                             i + 1)
                     found[rows] = hit
                 # sparse levels: climb to c(u, i), b(u, i)-bounded Lemma 4
                 # search, and back to u on a miss; a level whose tree does
@@ -273,7 +261,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
                         bound[u[rows], i])
                     targets = np.column_stack(
                         (bank.offsets[trees], path, np.where(hit, -1, u_slot)))
-                    emit(searching[rows], trees, targets, hit, sparse_code, i + 1)
+                    legs.add(searching[rows], trees, targets, hit, sparse_code,
+                             i + 1)
                     found[rows] = hit
                 searching = searching[~found]
 
@@ -286,7 +275,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
                 targets, hit = dictionaries.waypoints(
                     index, folds[dst[fell]], bank.slots_of(trees, src[fell]),
                     bank.slots_of(trees, dst[fell]))
-                emit(fell, trees, targets, hit, fallback_code, k + 1)
+                legs.add(fell, trees, targets, hit, fallback_code, k + 1)
 
             out_strategy = np.full(num, not_found_code, dtype=np.int64)
             out_phases = np.full(num, k + 1, dtype=np.int64)
@@ -296,12 +285,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             notes_of: List[Optional[dict]] = [None] * num
             for p in fell.tolist():
                 notes_of[p] = {"fallback_used": 1.0}
-            packet, tree, slot, terminal, strategy, phases = (
-                np.concatenate(column) for column in zip(*parts))
-            return BatchPlans.from_tree_legs(
-                num, packet, tree, slot, strategy, phases, terminal,
-                out_strategy, out_phases, strategy_names,
-                np.full(num, header, dtype=np.int64), notes_of)
+            return legs.plans(num, out_strategy, out_phases, strategy_names,
+                              np.full(num, header, dtype=np.int64), notes_of)
 
         return ForwardingProgram(self.graph, bank=bank, header_bits=header,
                                  label="agm", batch_planner=plan_batch)

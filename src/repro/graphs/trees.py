@@ -116,7 +116,7 @@ class Tree:
         self.nodes: List[int] = nodes.tolist()
         self.size = m
         #: graph index -> local position; eager because :meth:`contains` is
-        #: a per-packet query of every scheme's planner
+        #: a per-packet query of every scheme's scalar ``route()``
         self.index: Dict[int, int] = dict(zip(self.nodes, range(m)))
 
         child_local = np.searchsorted(nodes, children)

@@ -4,7 +4,7 @@ from repro.routing.messages import RouteResult, Header
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.table import RoutingTable
 from repro.routing.forwarding import (ForwardingProgram, NextHopTable,
-                                      PacketPlan, TreeBank, run_lockstep)
+                                      TreeBank, run_lockstep)
 from repro.routing.simulator import RoutingSimulator, EvaluationReport
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "EvaluationReport",
     "ForwardingProgram",
     "NextHopTable",
-    "PacketPlan",
     "TreeBank",
     "run_lockstep",
 ]

@@ -18,13 +18,12 @@ Building blocks:
   array (``key = node * n + dest``); hop-by-hop table phases (shortest-path
   tables, Cowen cluster routing) cost one ``searchsorted`` per step for the
   whole batch.
-* :class:`ForwardingProgram` — a per-scheme *planner* that turns
-  (source, destination) requests into short lists of **legs** (tree walks /
-  table phases) plus result metadata, either a whole batch at once as
-  arrays or one request at a time.  Planning mirrors the scalar control
-  flow exactly (which trees are searched, where dictionaries report misses)
-  but never walks; the fused cohort kernels (:mod:`repro.routing.kernels`)
-  then execute all legs of a batch at once.
+* :class:`ForwardingProgram` — a per-scheme *batch planner* that turns a
+  batch of (source, destination) requests into arrays of **legs** (tree
+  walks / table phases) plus result metadata.  Planning mirrors the scalar
+  control flow exactly (which trees are searched, where dictionaries report
+  misses) but never walks; the fused cohort kernels
+  (:mod:`repro.routing.kernels`) then execute all legs of a batch at once.
 
 Every walk a compiled plan produces decomposes into unique-tree-path legs and
 next-hop-table phases, so the engine's walks are identical — node for node —
@@ -52,55 +51,6 @@ from repro.utils.validation import require
 #: leg kinds understood by the lockstep engine
 LEG_TREE = 0
 LEG_TABLE = 1
-
-
-def tree_leg(tree_id: int, target: int, strategy: Optional[str] = None,
-             phases: int = 0, terminal: bool = False) -> tuple:
-    """A leg walking the unique tree path to ``target`` inside tree ``tree_id``.
-
-    ``terminal`` marks a success leg: when it completes, the packet finalizes
-    with this leg's ``(strategy, phases)`` instead of continuing to later legs.
-    """
-    return (LEG_TREE, int(tree_id), int(target), strategy, int(phases), bool(terminal))
-
-
-def table_leg(table_id: int, strategy: Optional[str] = None, phases: int = 0) -> tuple:
-    """A hop-by-hop next-hop-table phase.
-
-    The packet follows table entries until it reaches the destination (then it
-    finalizes with this leg's metadata) or misses / exhausts the ``n + 1`` hop
-    cap (then it advances to the next leg).
-    """
-    return (LEG_TABLE, int(table_id), -1, strategy, int(phases), False)
-
-
-def mark_terminal(legs: List[tuple], strategy: str, phases: int) -> None:
-    """Make the last leg of ``legs`` a terminal success leg.
-
-    Owns the leg-tuple layout together with the constructors above, so scheme
-    planners never index into the tuples positionally.
-    """
-    kind, a, b, _, _, _ = legs[-1]
-    legs[-1] = (kind, a, b, strategy, int(phases), True)
-
-
-class PacketPlan:
-    """The legs and result metadata of one (source, destination) request.
-
-    ``final_strategy`` / ``final_phases`` apply when the packet exhausts its
-    legs without finishing on a terminal leg or a table success.  The engine
-    derives ``found`` from whether the walk ended at the destination — the
-    invariant every scheme in the library satisfies.
-    """
-
-    __slots__ = ("legs", "final_strategy", "final_phases", "notes")
-
-    def __init__(self, legs: List[tuple], final_strategy: Optional[str],
-                 final_phases: int, notes: Optional[dict] = None) -> None:
-        self.legs = legs
-        self.final_strategy = final_strategy
-        self.final_phases = int(final_phases)
-        self.notes = notes
 
 
 class TreeBank:
@@ -614,43 +564,31 @@ class _DenseTableView:
 class ForwardingProgram:
     """A scheme's routing state compiled for the lockstep engine.
 
-    A program plans packets with exactly one of two planners.  A
     ``batch_planner(src, dst)`` plans a whole batch as arrays and returns a
-    :class:`~repro.routing.kernels.BatchPlans`; shortest-path, Cowen and AGM
-    compile one.  Otherwise ``planner(source, destination)`` returns one
-    :class:`PacketPlan` per packet, and :func:`~repro.routing.kernels.flatten_plans`
-    flattens them.  Either way the legs reference only trees registered in
-    ``bank`` and tables in ``tables``, and mirror the scalar control flow;
-    the engine supplies the hops.
+    :class:`~repro.routing.kernels.BatchPlans`; every compiled scheme
+    supplies one.  Its legs reference only trees registered in ``bank`` and
+    tables in ``tables``, mirror the scalar control flow of ``route()``
+    (the parity suites assert equal walks), and leave the hops to the
+    engine.
     """
 
-    def __init__(self, graph: WeightedGraph,
-                 planner: Optional[Callable[[int, int], PacketPlan]] = None,
+    def __init__(self, graph: WeightedGraph, *,
+                 batch_planner: Callable,
                  bank: Optional[TreeBank] = None,
                  tables: Sequence[NextHopTable] = (),
                  header_bits: int = 0,
-                 label: str = "",
-                 batch_planner: Optional[Callable] = None) -> None:
-        require((planner is None) != (batch_planner is None),
-                "a forwarding program takes exactly one of planner and "
-                "batch_planner")
+                 label: str = "") -> None:
         self.graph = graph
-        self._planner = planner
         self.bank = (bank if bank is not None else TreeBank(graph.n)).freeze()
         self.tables = list(tables)
         self.header_bits = int(header_bits)
         self.label = label
-        #: vectorized planner ``(src, dst) -> kernels.BatchPlans``; the fused
-        #: engine then plans whole batches without per-packet
-        #: :class:`PacketPlan` objects.  Its legs must produce walks equal
-        #: to the scalar ``route()``'s (the parity suite asserts it).
         self.batch_planner = batch_planner
 
-    def plan(self, source: int, destination: int) -> PacketPlan:
-        """Plan the legs of one request (both endpoints are node indices)."""
-        require(self._planner is not None,
-                f"program {self.label!r} plans whole batches only")
-        return self._planner(source, destination)
+    def plan(self, source: int, destination: int):
+        """The :class:`~repro.routing.kernels.BatchPlans` of one request."""
+        return self.batch_planner(np.asarray([source], dtype=np.int64),
+                                  np.asarray([destination], dtype=np.int64))
 
     def invalidate_caches(self) -> None:
         """Drop every derived lookup cache after an in-place repair.
@@ -710,8 +648,8 @@ def run_lockstep(program: ForwardingProgram, sources: Sequence[int],
 
     The batch runs through the fused cohort kernels
     (:func:`repro.routing.kernels.run_fused`): packets are bucketed by leg
-    kind and each cohort advances to leg completion per kernel call, with
-    vectorized batch planning for schemes that provide one.  Walks, hop
+    kind and each cohort advances to leg completion per kernel call, after
+    one vectorized batch-planning call.  Walks, hop
     records and outcome metadata equal the scalar ``route()``'s (asserted by
     ``tests/test_lockstep_engine.py``).
 

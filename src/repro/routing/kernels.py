@@ -212,13 +212,12 @@ def _table_runs_py(flat, n, start_nodes, dests, budget0):  # pragma: no cover - 
 class BatchPlans:
     """The flattened plans of one packet batch in structure-of-arrays form.
 
-    Schemes with a vectorized ``batch_planner`` — shortest-path, Cowen and
-    AGM — build these arrays directly, without per-packet plan objects;
-    :func:`flatten_plans` builds them from per-packet
-    :class:`~repro.routing.forwarding.PacketPlan` objects for the others.
-    The executor takes ownership of the arrays (it mutates
-    ``out_strategy`` / ``out_phases`` in place), so planners must build
-    fresh arrays per batch.
+    Every compiled scheme has a vectorized ``batch_planner`` that builds
+    these arrays directly: shortest-path and Cowen emit table and tree legs,
+    while AGM, Thorup–Zwick, Awerbuch–Peleg and the exponential stand-in
+    emit tree legs through :class:`TreeLegs`.  The executor takes ownership
+    of the arrays (it mutates ``out_strategy`` / ``out_phases`` in place),
+    so planners must build fresh arrays per batch.
     """
 
     __slots__ = ("num", "leg_kind", "leg_a", "leg_b", "leg_strategy",
@@ -250,121 +249,135 @@ class BatchPlans:
         self.notes_of = notes_of if notes_of is not None else [None] * self.num
         self.strategy_names = strategy_names
 
-    @classmethod
-    def from_tree_legs(cls, num: int, packet: np.ndarray, tree: np.ndarray,
-                       slot: np.ndarray, strategy: np.ndarray,
-                       phases: np.ndarray, terminal: np.ndarray,
-                       out_strategy: np.ndarray, out_phases: np.ndarray,
-                       strategy_names: List[str], header_bits: np.ndarray,
-                       notes_of: Optional[List[Optional[dict]]] = None
-                       ) -> "BatchPlans":
-        """Plans made only of tree legs, listed per packet in walk order.
 
-        Leg ``e`` walks tree ``tree[e]`` to slot ``slot[e]`` for packet
-        ``packet[e]``.  Packets may interleave, but each packet's legs must
-        appear in the order its walk takes them; a stable sort by packet
-        groups them.
+class TreeLegs:
+    """Tree legs of one batch, gathered pass by pass into :class:`BatchPlans`.
+
+    A planner calls :meth:`add` once per search pass (a level, a pivot side,
+    a fallback) with the packets that pass reaches, in walk order: a packet
+    may appear in many passes, and its legs keep the order of the calls.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        none = _EMPTY_I64
+        self._parts: List[tuple] = [(none, none, none, none.astype(bool),
+                                     none, none)]
+
+    def add(self, packets: np.ndarray, trees: np.ndarray, targets: np.ndarray,
+            found: np.ndarray, code: int, phases: int) -> None:
+        """Row ``r`` walks tree ``trees[r]`` to its slots ``targets[r] >= 0``.
+
+        ``targets`` is ``(R, c)``; each row's non-negative slots become legs
+        in column order.  A ``found`` row's last leg is terminal: the packet
+        finalizes there with strategy ``code`` and ``phases``.
         """
+        rows, cols = np.nonzero(targets >= 0)
+        ends = np.cumsum(np.bincount(rows, minlength=packets.size)) - 1
+        terminal = np.zeros(rows.size, dtype=bool)
+        terminal[ends[found]] = True
+        self._parts.append((packets[rows], trees[rows], targets[rows, cols],
+                            terminal, np.where(terminal, code, -1),
+                            np.where(terminal, phases, 0)))
+
+    def plans(self, num: int, out_strategy: np.ndarray, out_phases: np.ndarray,
+              strategy_names: List[str], header_bits: np.ndarray,
+              notes_of: Optional[List[Optional[dict]]] = None) -> BatchPlans:
+        """The gathered legs, grouped per packet by one stable sort."""
         from repro.routing.forwarding import LEG_TREE
 
+        packet, tree, slot, terminal, strategy, phases = (
+            np.concatenate(column) for column in zip(*self._parts))
         order = np.argsort(packet, kind="stable")
         counts = np.bincount(packet, minlength=num)
         leg_lo = np.zeros(num, dtype=np.int64)
         np.cumsum(counts[:-1], out=leg_lo[1:])
-        return cls(num=num,
-                   leg_kind=np.full(order.size, LEG_TREE, dtype=np.int8),
-                   leg_a=tree[order], leg_b=slot[order],
-                   leg_strategy=strategy[order], leg_phases=phases[order],
-                   leg_terminal=terminal[order],
-                   leg_lo=leg_lo, leg_hi=leg_lo + counts,
-                   out_strategy=out_strategy, out_phases=out_phases,
-                   strategy_names=strategy_names, header_bits=header_bits,
-                   notes_of=notes_of)
+        return BatchPlans(num=num,
+                          leg_kind=np.full(order.size, LEG_TREE, dtype=np.int8),
+                          leg_a=tree[order], leg_b=slot[order],
+                          leg_strategy=strategy[order],
+                          leg_phases=phases[order],
+                          leg_terminal=terminal[order],
+                          leg_lo=leg_lo, leg_hi=leg_lo + counts,
+                          out_strategy=out_strategy, out_phases=out_phases,
+                          strategy_names=strategy_names,
+                          header_bits=header_bits, notes_of=notes_of)
+
+
+def level_lookup_program(graph, routings, home: np.ndarray, strategy: str,
+                         header_bits: int):
+    """Compiled program of a level-by-level Lemma 7 dictionary search.
+
+    The search of Awerbuch–Peleg (one level per distance scale) and of the
+    exponential stand-in (one level per landmark level): at level ``i`` the
+    source looks the destination up in the dictionary tree
+    ``routings[home[i, source]]`` (``-1``: no tree, the level is skipped,
+    as is a tree that does not hold the source).  The first hit ends the
+    walk with phases ``i + 1``; a miss walks back to the source, and a
+    packet no level finds ends with phases ``levels``.
+    """
+    from repro.routing.forwarding import ForwardingProgram, TreeBank
+    from repro.trees.error_reporting import DictionaryLookupBank
+
+    levels, n = home.shape
+    bank = TreeBank(n)
+    lookup_tree = np.asarray([bank.add(r.tree) for r in routings],
+                             dtype=np.int64)
+    bank.freeze()
+    dictionaries = DictionaryLookupBank(routings, bank.offsets[lookup_tree])
+    folds = graph.name_folds()
+    home = home.copy()
+    for i in range(levels):
+        held = np.flatnonzero(home[i] >= 0)
+        trees = lookup_tree[home[i, held]]
+        home[i, held[bank.slots_of(trees, held) < 0]] = -1
+
+    def plan_batch(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+        num = int(src.size)
+        legs = TreeLegs()
+        searching = np.flatnonzero(src != dst)
+        for i in range(levels):
+            if searching.size == 0:
+                break
+            index = home[i, src[searching]]
+            rows = np.flatnonzero(index >= 0)
+            if rows.size == 0:
+                continue
+            index, packets = index[rows], searching[rows]
+            trees = lookup_tree[index]
+            targets, hit = dictionaries.waypoints(
+                index, folds[dst[packets]], bank.slots_of(trees, src[packets]),
+                bank.slots_of(trees, dst[packets]))
+            legs.add(packets, trees, targets, hit, 0, i + 1)
+            found = np.zeros(searching.size, dtype=bool)
+            found[rows] = hit
+            searching = searching[~found]
+        out_phases = np.where(src == dst, 0, levels).astype(np.int64)
+        return legs.plans(num, np.zeros(num, dtype=np.int64), out_phases,
+                          [strategy], np.full(num, header_bits, dtype=np.int64))
+
+    return ForwardingProgram(graph, bank=bank, header_bits=header_bits,
+                             label=strategy, batch_planner=plan_batch)
 
 
 def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
-    """Flatten per-packet ``program.plan()`` calls into a :class:`BatchPlans`.
+    """Plan one batch: the executor's single planning call.
 
-    The path of the schemes without a vectorized batch planner —
-    Thorup–Zwick, Awerbuch–Peleg and the exponential stand-in — including
-    the tree-target slot patching via ``bank.slots_of``.
+    Runs ``program.batch_planner`` and checks, as one vectorized test over
+    every tree leg, that each leg's target slot lies inside the tree it
+    walks.
     """
     from repro.routing.forwarding import LEG_TREE
 
-    bank = program.bank
-    num = int(src.size)
-    plans = [program.plan(u, v) for u, v in zip(src.tolist(), dst.tolist())]
-
-    strategy_code: Dict[str, int] = {}
-    strategy_names: List[str] = []
-
-    def code_of(strategy: Optional[str]) -> int:
-        if strategy is None:
-            return -1
-        found = strategy_code.get(strategy)
-        if found is None:
-            found = len(strategy_names)
-            strategy_code[strategy] = found
-            strategy_names.append(strategy)
-        return found
-
-    leg_kind_l: List[int] = []
-    leg_a_l: List[int] = []       # tree id / table id
-    leg_b_l: List[int] = []       # target slot (patched below) / -1
-    leg_strategy_l: List[int] = []
-    leg_phases_l: List[int] = []
-    leg_terminal_l: List[bool] = []
-    tree_positions: List[int] = []
-    tree_ids_l: List[int] = []
-    tree_targets_l: List[int] = []
-
-    leg_lo = np.zeros(num, dtype=np.int64)
-    leg_hi = np.zeros(num, dtype=np.int64)
-    out_strategy = np.full(num, -1, dtype=np.int64)
-    out_phases = np.zeros(num, dtype=np.int64)
-    header_bits = np.full(num, program.header_bits, dtype=np.int64)
-    notes_of: List[Optional[dict]] = [None] * num
-
-    for p, plan in enumerate(plans):
-        leg_lo[p] = len(leg_kind_l)
-        for kind, a, b, strategy, phases, terminal in plan.legs:
-            position = len(leg_kind_l)
-            leg_kind_l.append(kind)
-            leg_a_l.append(a)
-            leg_b_l.append(-1)
-            if kind == LEG_TREE:
-                tree_positions.append(position)
-                tree_ids_l.append(a)
-                tree_targets_l.append(b)
-            leg_strategy_l.append(code_of(strategy))
-            leg_phases_l.append(phases)
-            leg_terminal_l.append(terminal)
-        leg_hi[p] = len(leg_kind_l)
-        out_strategy[p] = code_of(plan.final_strategy)
-        out_phases[p] = plan.final_phases
-        notes_of[p] = plan.notes
-
-    leg_b = np.asarray(leg_b_l, dtype=np.int64)
-    if tree_positions:
-        slots = bank.slots_of(np.asarray(tree_ids_l, dtype=np.int64),
-                              np.asarray(tree_targets_l, dtype=np.int64))
-        if (slots < 0).any():
-            raise RuntimeError(
-                "compiled plan targets a node outside its tree (planner bug)")
-        leg_b[np.asarray(tree_positions, dtype=np.int64)] = slots
-
-    return BatchPlans(
-        num=num,
-        leg_kind=np.asarray(leg_kind_l, dtype=np.int8),
-        leg_a=np.asarray(leg_a_l, dtype=np.int64),
-        leg_b=leg_b,
-        leg_strategy=np.asarray(leg_strategy_l, dtype=np.int64),
-        leg_phases=np.asarray(leg_phases_l, dtype=np.int64),
-        leg_terminal=np.asarray(leg_terminal_l, dtype=bool),
-        leg_lo=leg_lo, leg_hi=leg_hi,
-        out_strategy=out_strategy, out_phases=out_phases,
-        strategy_names=strategy_names,
-        header_bits=header_bits, notes_of=notes_of)
+    plans = program.batch_planner(src, dst)
+    walks = plans.leg_kind == LEG_TREE
+    trees, slots = plans.leg_a[walks], plans.leg_b[walks]
+    offset = program.bank.offsets[trees]
+    if ((slots < offset) | (slots >= offset + program.bank.sizes[trees])).any():
+        raise RuntimeError(
+            "compiled plan targets a node outside its tree (planner bug)")
+    return plans
 
 
 # --------------------------------------------------------------------- #
@@ -559,16 +572,15 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
     :func:`~repro.routing.forwarding.run_lockstep`: walks, hop records and
     metadata equal the scalar ``route()``'s, returned as a
     :class:`~repro.routing.forwarding.LockstepOutcome`.  ``timings``,
-    when given, accumulates wall seconds under ``"plan"`` (batch planning /
-    flattening) and ``"step"`` (kernel execution + assembly).
+    when given, accumulates wall seconds under ``"plan"`` (batch planning
+    and its check) and ``"step"`` (kernel execution + assembly).
     """
     import time
 
     from repro.routing.forwarding import LEG_TABLE, LEG_TREE, LockstepOutcome
 
     t0 = time.perf_counter() if timings is not None else 0.0
-    planner = getattr(program, "batch_planner", None)
-    bp = planner(src, dst) if planner is not None else flatten_plans(program, src, dst)
+    bp = flatten_plans(program, src, dst)
     if timings is not None:
         t1 = time.perf_counter()
         timings["plan"] = timings.get("plan", 0.0) + (t1 - t0)

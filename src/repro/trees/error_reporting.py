@@ -172,28 +172,6 @@ class DictionaryTreeRouting:
         """Lookup starting at the root (used when the caller already routed there)."""
         return self.lookup(self.tree.root, target_name)
 
-    def plan_lookup(self, source: int, target_name: Hashable,
-                    fold: Optional[int] = None
-                    ) -> Tuple[List[int], bool, Optional[int]]:
-        """The waypoints of :meth:`lookup` without performing the walk.
-
-        Returns ``(targets, found, destination)`` where ``targets`` is the
-        sequence of tree nodes the walk heads for in order (root, responsible
-        node, then the destination on a hit or back to ``source`` on a miss).
-        The compiled-forwarding layer turns each waypoint into a lockstep
-        tree leg; the resulting walk is identical to :meth:`lookup`'s.
-        """
-        require(self.tree.contains(source), f"source {source} is not in the tree")
-        responsible = self.responsible_node(target_name, fold)
-        targets = [self.tree.root, responsible]
-        entry = self.buckets[responsible].get(target_name)
-        if entry is None:
-            targets.append(source)
-            return targets, False, None
-        destination = self.interval.node_with_label(entry)
-        targets.append(destination)
-        return targets, True, destination
-
     def _walk_to_label(self, result: DictionaryLookupResult, label: int) -> None:
         current = result.path[-1]
         seg, cost = self.interval.walk(current, label)
@@ -210,8 +188,8 @@ class DictionaryLookupBank:
     Entry ``d`` stands for ``routings[d]``, whose tree occupies the slots
     from ``offsets[d]`` of a compiled
     :class:`~repro.routing.forwarding.TreeBank` (slot = offset + DFS-in
-    number).  :meth:`waypoints` gives the targets of
-    :meth:`DictionaryTreeRouting.plan_lookup` for a whole batch: each row
+    number).  :meth:`waypoints` gives, for a whole batch, the nodes the
+    walk of :meth:`DictionaryTreeRouting.lookup` heads for: each row
     hashes its destination with its own tree's bucket hash, and the
     responsible node's slot is the offset plus the bucket, because buckets
     are DFS-in numbers.  Only the hash coefficients and tree sizes are

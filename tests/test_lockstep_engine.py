@@ -15,9 +15,9 @@ from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import make_graph, random_geometric_graph
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
-from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
-                                      NextHopTable, PacketPlan, TreeBank,
-                                      run_lockstep, table_leg, tree_leg)
+from repro.routing.forwarding import (LEG_TABLE, LEG_TREE, ForwardingProgram,
+                                      NextHopTable, TreeBank, run_lockstep)
+from repro.routing.kernels import BatchPlans
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
@@ -159,11 +159,23 @@ class TestTreeBank:
         bank = TreeBank(small_geometric.n)
         tree_id = bank.add(tree)
 
-        def planner(source: int, destination: int) -> PacketPlan:
-            return PacketPlan([tree_leg(tree_id, destination)], "tree", 0)
+        def planner(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+            # one non-terminal leg per packet: the tree path to dst
+            num = src.size
+            trees = np.full(num, tree_id, dtype=np.int64)
+            return BatchPlans(
+                num=num, leg_kind=np.full(num, LEG_TREE, dtype=np.int8),
+                leg_a=trees, leg_b=bank.slots_of(trees, dst),
+                leg_strategy=np.full(num, -1, dtype=np.int64),
+                leg_phases=np.zeros(num, dtype=np.int64),
+                leg_terminal=np.zeros(num, dtype=bool),
+                leg_lo=np.arange(num), leg_hi=np.arange(num) + 1,
+                out_strategy=np.zeros(num, dtype=np.int64),
+                out_phases=np.zeros(num, dtype=np.int64),
+                strategy_names=["tree"])
 
-        program = ForwardingProgram(small_geometric, planner, bank=bank,
-                                    label="one-tree")
+        program = ForwardingProgram(small_geometric, bank=bank,
+                                    label="one-tree", batch_planner=planner)
         rng = np.random.default_rng(5)
         pairs = [tuple(int(x) for x in rng.choice(list(tree.nodes), size=2))
                  for _ in range(40)]
@@ -279,7 +291,7 @@ class TestCompiledProgramShape:
     def test_program_is_cached(self, agm_k2):
         assert agm_k2.compiled_forwarding() is agm_k2.compiled_forwarding()
 
-    def test_agm_batch_plan_has_tree_legs(self, small_geometric, agm_k2):
+    def test_agm_batch_plan_walks_trees_only(self, small_geometric, agm_k2):
         program = agm_k2.compiled_forwarding()
         sim = RoutingSimulator(small_geometric)
         pairs = sim.sample_pairs(40, seed=13)
@@ -289,6 +301,52 @@ class TestCompiledProgramShape:
         assert plans.leg_kind.size and (plans.leg_kind == LEG_TREE).all()
         assert (plans.leg_b >= 0).all()
         assert ((plans.leg_hi > plans.leg_lo) == (src != dst)).all()
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_plan_is_one_row_of_the_batch_planner(self, small_grid,
+                                                  scheme_name):
+        kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" \
+            else {}
+        scheme = build_scheme(scheme_name, small_grid, k=2, seed=5,
+                              oracle=DistanceOracle(small_grid), **kwargs)
+        program = scheme.compiled_forwarding()
+        src = np.asarray([0, 3, 7], dtype=np.int64)
+        dst = np.asarray([5, 3, 1], dtype=np.int64)
+        batch = program.batch_planner(src, dst)
+        for p in range(src.size):
+            one = program.plan(int(src[p]), int(dst[p]))
+            assert one.num == 1
+            legs = slice(batch.leg_lo[p], batch.leg_hi[p])
+            for field in ("leg_kind", "leg_a", "leg_b", "leg_phases",
+                          "leg_terminal"):
+                assert getattr(one, field).tolist() == \
+                    getattr(batch, field)[legs].tolist()
+            assert one.out_phases[0] == batch.out_phases[p]
+
+    def test_leg_outside_its_tree_is_a_planner_bug(self, small_geometric,
+                                                   geometric_spt):
+        bank = TreeBank(small_geometric.n)
+        tree_id = bank.add(geometric_spt)
+
+        def planner(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+            # one leg to the slot just past the tree's last slot
+            num = src.size
+            return BatchPlans(
+                num=num, leg_kind=np.full(num, LEG_TREE, dtype=np.int8),
+                leg_a=np.full(num, tree_id, dtype=np.int64),
+                leg_b=np.full(num, bank.num_slots, dtype=np.int64),
+                leg_strategy=np.full(num, -1, dtype=np.int64),
+                leg_phases=np.zeros(num, dtype=np.int64),
+                leg_terminal=np.zeros(num, dtype=bool),
+                leg_lo=np.arange(num), leg_hi=np.arange(num) + 1,
+                out_strategy=np.zeros(num, dtype=np.int64),
+                out_phases=np.zeros(num, dtype=np.int64),
+                strategy_names=["tree"])
+
+        program = ForwardingProgram(small_geometric, bank=bank,
+                                    batch_planner=planner)
+        with pytest.raises(RuntimeError, match="planner bug"):
+            run_lockstep(program, [0], [1])
 
     def test_run_lockstep_without_materialize(self, small_geometric, agm_k2):
         program = agm_k2.compiled_forwarding()
@@ -340,11 +398,24 @@ class TestLockstepEdgeCases:
         table = NextHopTable.from_arrays(
             graph.n, np.asarray([0, 1]), np.asarray([3, 3]), np.asarray([1, 0]))
 
-        def planner(source: int, destination: int) -> PacketPlan:
-            return PacketPlan([table_leg(0, strategy="loop")], "gave-up", 2)
+        def planner(src: np.ndarray, dst: np.ndarray) -> BatchPlans:
+            # one table-0 phase per packet ("loop"); on giving up the packet
+            # ends with the final metadata ("gave-up", phases 2)
+            num = src.size
+            return BatchPlans(
+                num=num, leg_kind=np.full(num, LEG_TABLE, dtype=np.int8),
+                leg_a=np.zeros(num, dtype=np.int64),
+                leg_b=np.full(num, -1, dtype=np.int64),
+                leg_strategy=np.zeros(num, dtype=np.int64),
+                leg_phases=np.zeros(num, dtype=np.int64),
+                leg_terminal=np.zeros(num, dtype=bool),
+                leg_lo=np.arange(num), leg_hi=np.arange(num) + 1,
+                out_strategy=np.ones(num, dtype=np.int64),
+                out_phases=np.full(num, 2, dtype=np.int64),
+                strategy_names=["loop", "gave-up"])
 
-        program = ForwardingProgram(graph, planner, tables=[table],
-                                    label="broken-loop")
+        program = ForwardingProgram(graph, tables=[table], label="broken-loop",
+                                    batch_planner=planner)
         outcome = run_lockstep(program, [0], [3])
         # the n + 1 hop cap trips, the leg is abandoned, and the packet
         # finalizes with the plan's final metadata instead of spinning
@@ -358,7 +429,8 @@ class TestLockstepEdgeCases:
         missing = run_lockstep(program, [2], [3])
         assert not missing.found[0] and missing.hop_index.size == 0
 
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
+    @pytest.mark.parametrize("scheme_name",
+                             [s for s in SCHEME_NAMES if s != "agm"])
     def test_detached_destination_after_churn_matches_scalar(self, scheme_name):
         graph = random_geometric_graph(36, seed=771)
         oracle = DistanceOracle(graph, backend="lazy")
@@ -438,7 +510,8 @@ class TestFusedKernelParity:
                               params=AGMParams.experiment())
         self._check(scheme, graph, seed=22)
 
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
+    @pytest.mark.parametrize("scheme_name",
+                             [s for s in SCHEME_NAMES if s != "agm"])
     def test_detached_destination_parity(self, scheme_name):
         graph = random_geometric_graph(36, seed=771)
         oracle = DistanceOracle(graph, backend="lazy")
@@ -455,12 +528,16 @@ class TestFusedKernelParity:
         assert not outcome.found.any()
 
 
-class TestAGMBatchPlannerAllPairs:
-    """The AGM batch planner ≡ scalar ``route()`` on every ordered pair.
+#: the schemes whose batch planners emit tree legs only
+TREE_PLANNED = ("agm", "thorup-zwick", "awerbuch-peleg", "exponential")
+
+
+class TestBatchPlannerAllPairs:
+    """Every tree-leg batch planner ≡ scalar ``route()`` on every ordered pair.
 
     Exhaustive, not sampled: every (source, destination) pair of fixed small
     graphs, self pairs included, through the array outcome the traffic
-    engine reads, plus the fallback counter both engines advance.
+    engine reads, plus AGM's fallback counter both engines advance.
     """
 
     @staticmethod
@@ -468,53 +545,62 @@ class TestAGMBatchPlannerAllPairs:
         """Assert all-pairs parity; return the scalar fallback count."""
         n = scheme.graph.n
         src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        before = scheme.fallback_uses
+        before = getattr(scheme, "fallback_uses", 0)
         outcome = run_lockstep(scheme.compiled_forwarding(), src, dst,
                                materialize=False)
-        lockstep_uses = scheme.fallback_uses - before
+        lockstep_uses = getattr(scheme, "fallback_uses", 0) - before
         _assert_outcome_matches_scalar(outcome, scheme, src.tolist(),
                                        dst.tolist())
-        scalar_uses = scheme.fallback_uses - before - lockstep_uses
+        scalar_uses = getattr(scheme, "fallback_uses", 0) - before \
+            - lockstep_uses
         assert lockstep_uses == scalar_uses
         return scalar_uses
 
     @staticmethod
-    def _build(graph, k=2, seed=1, params=None):
-        return build_scheme("agm", graph, k=k, seed=seed,
-                            oracle=DistanceOracle(graph),
-                            params=params or AGMParams.experiment())
+    def _build(scheme_name, graph, k=2, seed=1, params=None):
+        kwargs = {}
+        if scheme_name == "agm":
+            kwargs["params"] = params or AGMParams.experiment()
+        return build_scheme(scheme_name, graph, k=k, seed=seed,
+                            oracle=DistanceOracle(graph), **kwargs)
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("family", ["grid", "geometric", "barabasi-albert",
                                         "ring-of-cliques"])
-    def test_all_pairs_k2(self, family, seed):
+    @pytest.mark.parametrize("scheme_name", TREE_PLANNED)
+    def test_all_pairs_k2(self, scheme_name, family, seed):
         graph = make_graph(family, 50, seed=seed)
         assert 40 <= graph.n <= 60
-        self._check_all_pairs(self._build(graph, seed=seed))
+        self._check_all_pairs(self._build(scheme_name, graph, seed=seed))
 
-    def test_all_pairs_k3(self):
+    @pytest.mark.parametrize("scheme_name", TREE_PLANNED)
+    def test_all_pairs_k3(self, scheme_name):
         graph = make_graph("geometric", 48, seed=3)
-        self._check_all_pairs(self._build(graph, k=3, seed=3))
+        self._check_all_pairs(self._build(scheme_name, graph, k=3, seed=3))
 
-    def test_all_pairs_mixed_names(self):
+    @pytest.mark.parametrize("scheme_name", TREE_PLANNED)
+    def test_all_pairs_mixed_names(self, scheme_name):
         # strings, tuples and negative ints, as in the golden-digest builds
         base = make_graph("barabasi-albert", 48, seed=11)
         names = [f"host-{v}" if v % 3 == 0 else ("as", v) if v % 3 == 1
                  else -v - 1 for v in range(base.n)]
         graph = WeightedGraph(base.n, list(base.edges()), names=names)
-        self._check_all_pairs(self._build(graph, seed=11))
+        self._check_all_pairs(self._build(scheme_name, graph, seed=11))
 
     def test_fallback_count_matches_scalar(self):
         # a scaled-down landmark constant breaks the w.h.p. lemmas on this
         # pinned build, so the last-resort fallback fires (found by search)
         graph = make_graph("barabasi-albert", 48, seed=4)
-        scheme = self._build(graph, seed=4,
+        scheme = self._build("agm", graph, seed=4,
                              params=AGMParams.experiment(landmark_count_factor=0.05))
         assert self._check_all_pairs(scheme) > 0
 
-    def test_all_pairs_after_maintain(self):
+    @pytest.mark.parametrize("scheme_name", TREE_PLANNED)
+    def test_all_pairs_after_maintain(self, scheme_name):
+        # Thorup–Zwick's incremental repair is the path live-flap takes
+        # every epoch; the others rebuild
         graph = make_graph("geometric", 48, seed=5)
-        scheme = self._build(graph, seed=5)
+        scheme = self._build(scheme_name, graph, seed=5)
         stale = scheme.compiled_forwarding()
         run_lockstep(stale, [0, 1], [2, 3], materialize=False)
         edges = list(graph.edges())
